@@ -21,7 +21,6 @@ from a DAX XML file (``--dax``).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from repro.core.costs import compute_cost
@@ -86,18 +85,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
-def _apply_jit_flag(args: argparse.Namespace) -> None:
-    """Honor ``--jit`` by setting ``REPRO_SIM_JIT`` for this process."""
-    jit = getattr(args, "jit", None)
-    if jit is not None:
-        from repro.sim import kernel_core
-
-        os.environ[kernel_core.JIT_ENV] = jit
-        kernel_core._invalidate_backend()
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    _apply_jit_flag(args)
     wf = _load_workflow(args)
     result = simulate(
         wf,
@@ -223,8 +211,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if getattr(args, "compare", None):
         return _compare_bench(*args.compare)
 
-    _apply_jit_flag(args)
-    from repro.sim import kernel_core
     from repro.sim.executor import ExecutionEnvironment
     from repro.sim.kernel import (
         KernelConfig, run_fast_kernel, run_monte_carlo,
@@ -244,14 +230,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             wf, cfg, probabilities, seeds, max_retries=3, out=None
         )
 
-    hot_path()  # warm the lowering caches (and any numba compilation)
+    hot_path()  # warm the lowering caches
     best = float("inf")
     for _ in range(max(1, args.repeats)):
         start = time.perf_counter()
         hot_path()
         best = min(best, time.perf_counter() - start)
 
-    backend = kernel_core.jit_backend()
     n_cells = len(probabilities) * args.seeds
     print(
         format_table(
@@ -259,13 +244,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             [
                 ("workflow", wf.name),
                 ("processors", args.processors),
-                ("jit mode", backend["mode"]),
-                ("soa core", "on" if backend["use_core"] else "off"),
-                (
-                    "compiled",
-                    backend["numba_version"] or
-                    (backend["reason"] or "no"),
-                ),
                 ("grid cells", n_cells),
                 ("best pass", f"{best * 1e3:.2f} ms"),
                 ("cells/s", f"{n_cells / best:,.0f}"),
@@ -758,12 +736,6 @@ def build_parser() -> argparse.ArgumentParser:
              "the fast array kernel, which covers every configuration "
              "including failure injection)",
     )
-    p.add_argument(
-        "--jit", choices=["auto", "on", "off"], default=None,
-        help="fast-kernel numeric core (default: REPRO_SIM_JIT, else "
-             "auto — compile the SoA replay loop with numba when it is "
-             "importable, fall back to the interpreted loops otherwise)",
-    )
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="Figure 4/5/6: cost & time vs pool size")
@@ -1024,10 +996,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--repeats", type=int, default=3,
         help="timing passes; the best is reported (default 3)",
-    )
-    p.add_argument(
-        "--jit", choices=["auto", "on", "off"], default=None,
-        help="fast-kernel numeric core (default: REPRO_SIM_JIT/auto)",
     )
     p.add_argument(
         "--profile", action="store_true",

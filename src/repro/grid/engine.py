@@ -8,11 +8,10 @@ fast kernel: one :class:`~repro.sim.kernel._Lowering` per plate (the
 kernel memoizes it), one grow-only per-seed draw buffer dict shared by
 every plate and ladder point of the shard, and every cell written
 straight into a preallocated :data:`~repro.sim.kernel.SUMMARY_DTYPE`
-record batch.  The per-cell replay rides whatever backend
-:func:`run_monte_carlo` resolves: the compiled SoA core when numba is
-available — including contended-link and finite-capacity ladder
-points, whose verdict cells batch through the compiled single/capacity
-loops — and the interpreted loops otherwise, bit-identically.
+record batch.  The per-cell replay is :func:`run_monte_carlo`'s:
+failure-free cells reuse one baseline run per ladder point, and failing
+cells on traceless shared-storage FIFO points fork the turbo loop from
+the baseline's nearest checkpoint, bit-identically.
 
 Shards run serially, or over a ``ProcessPoolExecutor`` when more than
 one worker resolves (``REPRO_SWEEP_WORKERS`` / core count, exactly the

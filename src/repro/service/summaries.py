@@ -6,9 +6,8 @@ request mix — the solo makespan as a function of pool share, the
 processor-seconds one execution holds, and its data volumes.  Those are
 exactly the scalars the fast kernel already produces, so a summary is one
 :func:`~repro.sim.kernel.run_fast_kernel_batch` call over a share ladder
-(a few milliseconds — on the compiled SoA core when numba is present,
-for contended-link and finite-capacity service environments too), and
-the result is memoized in the sweep cache's
+(a few milliseconds, contended-link and finite-capacity service
+environments included), and the result is memoized in the sweep cache's
 blob store keyed on the workflow's content fingerprint — the same
 machinery the grid engine uses for shard checkpoints, so summaries
 survive across processes and sessions.

@@ -33,28 +33,34 @@ tuples that replicates the engine's scheduling discipline *exactly*:
   identical to the engine's push-then-pop, and the common case on the
   wide phases of Montage-like workflows.
 
-Three execution paths share the lowering:
+Three entry points share the lowering, and three replay loops serve
+them — one per resource model, each written out once:
 
 * :func:`run_fast_kernel` — one configuration, any data mode, traced or
-  not.  Contended (FIFO) links are modelled inline by tracking each
-  lane's ``busy_until``; finite storage capacities take the dedicated
-  :func:`_run_capacity` loop, which mirrors the engine's reservation /
-  admission-control cascade (head-of-line dispatch reservations, gated
-  stage-in pumping with output headroom, space-freed retry order)
-  statement for statement.
+  not.  :func:`_run_single` covers infinite storage, with contended
+  (FIFO) links modelled inline by tracking each lane's ``busy_until``;
+  finite storage capacities take :func:`_run_capacity`, which mirrors
+  the engine's reservation / admission-control cascade (head-of-line
+  dispatch reservations, gated stage-in pumping with output headroom,
+  space-freed retry order) statement for statement.
 * :func:`run_fast_kernel_batch` — many configurations over one DAG.  The
   lowering, per-bandwidth transfer durations, per-overhead execution
   durations and the sorted stage-in arrival schedule are computed once
-  per batch; traceless shared-storage configurations then run on a
-  further-specialized "turbo" loop that merges the precomputed arrival
-  stream with a small completion heap and integrates the storage curve
-  incrementally instead of materializing it.
+  per batch; traceless shared-storage configurations then run on the
+  "turbo" loop, :func:`_run_turbo_core`, which merges the precomputed
+  arrival stream with a small completion heap and integrates the
+  storage curve incrementally instead of materializing it.
 * :func:`run_monte_carlo` — one configuration replayed over a whole
   (probability, seed) grid of failure injections.  Per-seed uniform
   draws are pre-drawn with vectorized numpy generators and shared
   across every probability (a fresh model restarts the stream, so one
-  seed replays one buffer), and summary-only cells skip trace and
-  curve materialization entirely.
+  seed replays one buffer), cells with equal verdict prefixes replay
+  once, and summary-only cells skip trace and curve materialization
+  entirely.  On FIFO turbo configurations the same turbo loop takes
+  the cell's verdict array and *forks*: the failure-free baseline
+  records a checkpoint every :data:`SNAP_EVERY` completions, and a
+  failing cell resumes from the last checkpoint before its first
+  failure instead of re-simulating the shared prefix.
 
 Failure injection replays bit-identically too: the loops reproduce the
 engine's exact ``(time, seq)`` event order, so consuming the seeded
@@ -93,7 +99,6 @@ import numpy as np
 
 from repro.sim.datamanager import DataMode
 from repro.sim.failures import FailureModel, WorkflowAbortedError
-from repro.sim import kernel_core
 from repro.sim.results import SimulationResult, TaskRecord, TransferRecord
 from repro.sim.scheduler import FIFO_ORDER, TaskOrdering
 from repro.util.curve import StepCurve
@@ -262,7 +267,6 @@ class _Lowering:
         "_tr_cache",
         "_exec_cache",
         "_arrival_cache",
-        "core_cache",
     )
 
     #: Per-parameter derived vectors kept per lowering; sweeps touch a
@@ -326,10 +330,6 @@ class _Lowering:
         self._tr_cache: dict[float, list[float]] = {}
         self._exec_cache: dict[float, list[float]] = {}
         self._arrival_cache: dict = {}
-        # ndarray/CSR view built lazily by repro.sim.kernel_core when
-        # the SoA backend is active; lives here so it shares this
-        # lowering's lifetime (the WeakKeyDictionary entry).
-        self.core_cache = None
 
     def cleanup_tables(self) -> tuple[list[list[int]], list[int]]:
         """Per-task release candidates + releaser counts (lazy, cached).
@@ -623,129 +623,6 @@ def _replay(deltas: list) -> StepCurve:
     return StepCurve.from_changes(times, values)
 
 
-def _walk_core_log(low: _Lowering, log: tuple):
-    """Decode a core columnar event log back into the legacy lists.
-
-    One linear walk over the ``(kind, time, a, b, x)`` buffers rebuilds
-    ``task_records``, ``transfer_records``, ``storage_deltas`` and
-    ``busy_deltas`` in the exact order the legacy loop appended them —
-    the same rows, same coalescing order, same Python float/int values.
-    """
-    lk, lt, la, lb, lx, n = log
-    task_ids = low.task_ids
-    fnames = low.fnames
-    transformations = low.transformations
-    sizes = low.sizes
-    task_records: list[TaskRecord] = []
-    transfer_records: list[TransferRecord] = []
-    storage_deltas: list = []
-    busy_deltas: list = []
-    for i in range(n):
-        k = lk[i]
-        if k == kernel_core.EV_STORE:
-            storage_deltas.append((float(lt[i]), float(lx[i])))
-        elif k == kernel_core.EV_TASK:
-            t = int(la[i])
-            task_records.append(
-                TaskRecord(
-                    task_ids[t], transformations[t], float(lx[i]),
-                    float(lt[i]), int(lb[i]),
-                )
-            )
-        elif k == kernel_core.EV_BUSY:
-            busy_deltas.append((float(lt[i]), float(lx[i])))
-        else:
-            f = int(la[i])
-            t = int(lb[i])
-            transfer_records.append(
-                TransferRecord(
-                    fnames[f], sizes[f],
-                    "in" if k == kernel_core.EV_XIN else "out",
-                    float(lx[i]), float(lt[i]),
-                    task_ids[t] if t >= 0 else None,
-                )
-            )
-    return task_records, transfer_records, storage_deltas, busy_deltas
-
-
-def _core_storage_curve(log: tuple) -> StepCurve:
-    """Replay only a core log's EV_STORE rows into the storage curve."""
-    lk, lt, la, lb, lx, n = log
-    ev_store = kernel_core.EV_STORE
-    deltas = [
-        (float(lt[i]), float(lx[i])) for i in range(n) if lk[i] == ev_store
-    ]
-    return _replay(deltas)
-
-
-def _core_scalars(scal: tuple, log: tuple | None) -> tuple:
-    """Summary-row scalars of a core run (storage slots fixed from log).
-
-    Capacity runs (and traced runs) return placeholder storage scalars:
-    the loop ran the heap dry past ``finished_at``, so the byte-seconds
-    integral must be clipped at the makespan while the peak stays
-    unclipped — exactly the legacy loop's curve-based computation.
-    """
-    if log is None:
-        return scal
-    curve = _core_storage_curve(log)
-    makespan = scal[0]
-    return (
-        scal[0],
-        scal[1],
-        scal[2],
-        curve.integral(0.0, makespan),
-        curve.max_value(),
-    ) + scal[5:]
-
-
-def _finish_core_run(
-    workflow: Workflow,
-    low: _Lowering,
-    environment,
-    data_mode: DataMode,
-    scal: tuple,
-    log: tuple | None,
-    trace: bool,
-) -> SimulationResult:
-    """Assemble a full SimulationResult from a core run's scalars + log."""
-    task_records: list[TaskRecord] = []
-    transfer_records: list[TransferRecord] = []
-    storage_curve = busy_curve = None
-    (
-        makespan, bytes_in, bytes_out, sbs, peak, held, comp,
-        n_in, n_out, n_exec, n_fail,
-    ) = scal
-    if log is not None:
-        task_records, transfer_records, sd, bd = _walk_core_log(low, log)
-        curve = _replay(sd)
-        sbs = curve.integral(0.0, makespan)
-        peak = curve.max_value()
-        if trace:
-            storage_curve = curve
-            busy_curve = _replay(bd)
-    return SimulationResult(
-        workflow_name=workflow.name,
-        n_processors=environment.n_processors,
-        data_mode=data_mode.value,
-        makespan=makespan,
-        bytes_in=bytes_in,
-        bytes_out=bytes_out,
-        storage_byte_seconds=sbs,
-        peak_storage_bytes=peak,
-        cpu_busy_seconds=held,
-        compute_seconds=comp,
-        n_transfers_in=n_in,
-        n_transfers_out=n_out,
-        n_task_executions=n_exec,
-        n_task_failures=n_fail,
-        task_records=task_records,
-        transfer_records=transfer_records,
-        storage_curve=storage_curve,
-        busy_curve=busy_curve,
-    )
-
-
 # ------------------------------------------------------------------ #
 # single-run loop (infinite storage; dedicated or contended link)
 # ------------------------------------------------------------------ #
@@ -762,22 +639,6 @@ def _run_single(
     remote = data_mode is DataMode.REMOTE_IO
     cleanup = data_mode is DataMode.CLEANUP
     trace = environment.record_trace
-
-    if (
-        not remote
-        and fail is None
-        and ordering is FIFO_ORDER
-        and low.n_tasks
-        and kernel_core.core_enabled()
-    ):
-        # SoA core path: contended links and record building included.
-        # Live failure hooks stay here (their RNG stream must be drawn
-        # in the interpreter); Monte Carlo verdict cells enter the core
-        # through run_monte_carlo instead.
-        scal, log = kernel_core.single_soa(low, environment, cleanup, trace)
-        return _finish_core_run(
-            workflow, low, environment, data_mode, scal, log, trace
-        )
 
     n_tasks = low.n_tasks
     task_ids = low.task_ids
@@ -1196,6 +1057,12 @@ def _run_single(
 # ------------------------------------------------------------------ #
 # turbo loop: batched traceless shared-storage configurations
 # ------------------------------------------------------------------ #
+#: Completion interval between the checkpoints a Monte Carlo baseline
+#: records for forking.  Smaller values give finer fork points (less
+#: replayed prefix) at the cost of one state copy per interval.
+SNAP_EVERY = 16
+
+
 def _run_turbo_core(
     workflow: Workflow,
     low: _Lowering,
@@ -1205,6 +1072,11 @@ def _run_turbo_core(
     tr_dur: list[float],
     exec_dur: list[float],
     fail=None,
+    *,
+    verdicts=None,
+    max_retries: int = 0,
+    snapshots: list | None = None,
+    resume: tuple | None = None,
 ) -> tuple:
     """Merged-stream loop for traceless regular/cleanup configurations.
 
@@ -1227,23 +1099,28 @@ def _run_turbo_core(
     columnar campaign path can write them straight into a record batch;
     :func:`_run_turbo` wraps them into a :class:`SimulationResult`.
 
-    When the SoA backend is active (``REPRO_SIM_JIT`` resolved ``on``,
-    or ``auto`` with numba importable) and the run is FIFO-ordered with
-    no live failure hook, the replay routes through
-    :func:`repro.sim.kernel_core.turbo_soa` — the same loop lowered to
-    plain arrays, numba-compiled when possible.  Batch, grid, Monte
-    Carlo and service callers all pass through here, so they pick the
-    compiled core up transparently.
+    Failures come either from the live ``fail(t, attempt)`` hook or, for
+    Monte Carlo cells, from ``verdicts``: a boolean array indexed by
+    completion-event ordinal (the prefix :func:`_verdict_fixpoint`
+    proves sufficient), with ``max_retries`` bounding the attempts and
+    the engine's verbatim abort message.  Two further keywords make the
+    loop resumable, which is how :func:`run_monte_carlo` forks cells:
+
+    * with a ``snapshots`` list, a failure-free run appends an
+      immutable state snapshot just before processing task completion
+      number ``j * SNAP_EVERY`` (j = 0, 1, ...), so snapshot 0 covers
+      any fork, however early its first failure;
+    * with ``resume`` (one of those snapshots), the loop restores the
+      saved state instead of initializing and replays only the suffix.
+      The verdict cursor starts at the snapshot's completion count:
+      every earlier verdict was False, or the baseline that recorded
+      the snapshot could not have matched.
+
+    Snapshots store the ready queue normalized to a zero head cursor —
+    the compaction heuristic's internal layout is not observable, so
+    forks are bit-identical to from-scratch replays.
     """
     cleanup = data_mode is DataMode.CLEANUP
-
-    if (
-        fail is None
-        and ordering is FIFO_ORDER
-        and kernel_core.jit_enabled()
-    ):
-        return kernel_core.turbo_soa(low, environment, cleanup)
-
     n_tasks = low.n_tasks
     task_ids = low.task_ids
     runtimes = low.runtimes
@@ -1254,10 +1131,8 @@ def _run_turbo_core(
 
     if cleanup:
         release_candidates, need = low.cleanup_tables()
-        release_need = list(need)
-        removed = bytearray(low.n_files)
     else:
-        release_candidates = release_need = removed = None
+        release_candidates = need = None
 
     arr_t, arr_f, arr_rank = low.arrival_schedule(
         environment.bandwidth_bytes_per_sec
@@ -1268,39 +1143,63 @@ def _run_turbo_core(
     okey = ordering.key
     push = heappush
     pop = heappop
-
-    now = 0.0
-    seq = 0
-    rseq = 0
-    ch: list = []  # completions + stage-outs: (time, seq, idx, acquired)
-    ready: list = []
-    ready_head = 0
-    qlen = 0  # == len(ready), tracked to keep the hot checks arithmetic
-    free = environment.n_processors
     ready_at = environment.compute_ready_seconds
-    booting = ready_at > 0.0
-    boot_scheduled = False
-    boot_pending = False
-    boot_seq = 0
-    n_done = 0
-    n_exec = 0
+
+    if resume is None:
+        now = 0.0
+        seq = 0
+        rseq = 0
+        ch: list = []  # completions + stage-outs: (time, seq, idx, acquired)
+        ready: list = []
+        qlen = 0  # == len(ready), tracked to keep the hot checks arithmetic
+        free = environment.n_processors
+        booting = ready_at > 0.0
+        boot_scheduled = False
+        boot_pending = False
+        boot_seq = 0
+        n_done = 0
+        n_exec = 0
+        compute_seconds = 0.0
+        held_seconds = 0.0
+        bytes_out = 0.0
+        n_out = 0
+        souts_left = 0
+        # Incremental storage accounting: value/segment-start/integral/
+        # peak, committing a segment whenever time advances past a
+        # breakpoint — the same float ops, in the same order, as replay
+        # + integral + max.
+        s_t = 0.0
+        s_v = 0.0
+        s_acc = 0.0
+        s_peak = 0.0
+        k = 0  # arrival cursor
+        base = 0  # arrival sequence base, assigned after t = 0
+        pending = list(low.n_inputs)
+        added: list[int] = []  # storage adds in engine insertion order
+        release_need = list(need) if cleanup else None
+        removed = bytearray(low.n_files) if cleanup else None
+    else:
+        (
+            now, seq, rseq, free, booting, boot_scheduled, boot_pending,
+            boot_seq, n_done, n_exec, compute_seconds, held_seconds,
+            bytes_out, n_out, souts_left, s_t, s_v, s_acc, s_peak, k,
+            base, ch_s, ready_s, pending_s, added_s, release_need_s,
+            removed_s,
+        ) = resume
+        ch = list(ch_s)
+        ready = list(ready_s)
+        qlen = len(ready)
+        pending = list(pending_s)
+        added = list(added_s)
+        release_need = list(release_need_s) if cleanup else None
+        removed = bytearray(removed_s) if cleanup else None
+    ready_head = 0
     n_failures = 0
-    compute_seconds = 0.0
-    held_seconds = 0.0
-    bytes_out = 0.0
-    n_out = 0
-    souts_left = 0
     finished_at: float | None = None
-    attempts = [1] * n_tasks if fail is not None else None
-    pending = list(low.n_inputs)
-    added: list[int] = []  # storage adds in engine insertion order
-    # Incremental storage accounting: value/segment-start/integral/peak,
-    # committing a segment whenever time advances past a breakpoint —
-    # the same float ops, in the same order, as replay + integral + max.
-    s_t = 0.0
-    s_v = 0.0
-    s_acc = 0.0
-    s_peak = 0.0
+    live = fail is not None or verdicts is not None
+    attempts = [1] * n_tasks if live else None
+    # Completion ordinal of the next snapshot (-1: never snapshot).
+    snap_at = n_done if snapshots is not None else -1
 
     def dispatch() -> None:
         nonlocal seq, free, booting, boot_scheduled, boot_pending
@@ -1331,30 +1230,30 @@ def _run_turbo_core(
             push(ch, (now + exec_dur[t], seq, t, now))
             seq += 1
 
-    # -- t = 0: no-input tasks ready, then the (virtual) stage-ins ---- #
-    for t in low.no_input_tasks:
-        if free and ready_head == qlen and not booting:
-            free -= 1
-            n_exec += 1
-            compute_seconds += runtimes[t]
-            push(ch, (now + exec_dur[t], seq, t, now))
-            seq += 1
-        else:
-            if fifo:
-                ready.append(t)
+    if resume is None:
+        # -- t = 0: no-input tasks ready, then the (virtual) stage-ins - #
+        for t in low.no_input_tasks:
+            if free and ready_head == qlen and not booting:
+                free -= 1
+                n_exec += 1
+                compute_seconds += runtimes[t]
+                push(ch, (now + exec_dur[t], seq, t, now))
+                seq += 1
             else:
-                push(ready, (okey(workflow, task_ids[t]), rseq, t))
-            qlen += 1
-            rseq += 1
-            if free:
-                dispatch()
-    # Arrivals occupy the next n_arr sequence numbers in submission
-    # order; later events resume counting after them.
-    base = seq
-    seq = base + n_arr
+                if fifo:
+                    ready.append(t)
+                else:
+                    push(ready, (okey(workflow, task_ids[t]), rseq, t))
+                qlen += 1
+                rseq += 1
+                if free:
+                    dispatch()
+        # Arrivals occupy the next n_arr sequence numbers in submission
+        # order; later events resume counting after them.
+        base = seq
+        seq = base + n_arr
 
     INF = float("inf")
-    k = 0
     while True:
         if k < n_arr:
             at = arr_t[k]
@@ -1419,9 +1318,25 @@ def _run_turbo_core(
                         if free:
                             dispatch()
         else:
+            t = ce[2]
+            if n_done == snap_at and t >= 0:
+                # State just before task completion #(n_done + 1): forks
+                # whose first True verdict lands at that ordinal or later
+                # restore from here.  Everything mutable is copied to an
+                # immutable form.
+                snapshots.append((
+                    now, seq, rseq, free, booting, boot_scheduled,
+                    boot_pending, boot_seq, n_done, n_exec,
+                    compute_seconds, held_seconds, bytes_out, n_out,
+                    souts_left, s_t, s_v, s_acc, s_peak, k, base,
+                    tuple(ch), tuple(ready[ready_head:]), tuple(pending),
+                    tuple(added),
+                    tuple(release_need) if cleanup else None,
+                    bytes(removed) if cleanup else None,
+                ))
+                snap_at += SNAP_EVERY
             pop(ch)
             now = ct
-            t = ce[2]
             if t < 0:
                 # stage-out completion for file -1 - t
                 f = -1 - t
@@ -1453,9 +1368,19 @@ def _run_turbo_core(
                     break
                 continue
             # task completion
-            if fail is not None:
+            if live:
                 attempt = attempts[t]
-                if fail(t, attempt):
+                if verdicts is None:
+                    failed = fail(t, attempt)
+                else:
+                    # One verdict per completion event processed so far.
+                    failed = verdicts[n_done + n_failures]
+                    if failed and attempt > max_retries:
+                        raise WorkflowAbortedError(
+                            f"task {task_ids[t]!r} failed on attempt "
+                            f"{attempt} with no retries left"
+                        )
+                if failed:
                     # Retry on the same still-held processor, completion
                     # re-pushed at exactly the engine's sequence point.
                     n_failures += 1
@@ -1650,22 +1575,6 @@ def _run_capacity(
     remote = data_mode is DataMode.REMOTE_IO
     cleanup = data_mode is DataMode.CLEANUP
     trace = environment.record_trace
-
-    if (
-        not remote
-        and fail is None
-        and ordering is FIFO_ORDER
-        and low.n_tasks
-        and kernel_core.core_enabled()
-    ):
-        # SoA core path; the deadlock RuntimeError (verbatim message,
-        # capacity hint included) propagates from the wrapper.
-        scal, log = kernel_core.capacity_soa(
-            low, environment, cleanup, trace
-        )
-        return _finish_core_run(
-            workflow, low, environment, data_mode, scal, log, trace
-        )
 
     n_tasks = low.n_tasks
     task_ids = low.task_ids
@@ -2367,44 +2276,20 @@ def run_monte_carlo(
     #: verdict-prefix bytes -> ("ok", row-or-result) | ("abort", message)
     pattern_cache: dict[bytes, tuple] = {}
 
-    # FIFO turbo cells replay through the resumable kernel-core loop:
-    # the baseline run records checkpoints every SNAP_EVERY completions,
-    # and each failing cell forks from the checkpoint just before its
-    # first True verdict instead of re-simulating the shared prefix.
-    # With the SoA backend active, failing cells go to turbo_soa with
-    # their verdict arrays instead (the compiled loop has no fork
-    # support, but replays the whole cell faster than the interpreted
-    # suffix would).
+    # FIFO turbo cells fork: the baseline run records checkpoints every
+    # SNAP_EVERY completions, and each failing cell resumes from the
+    # checkpoint just before its first True verdict instead of
+    # re-simulating the shared prefix.
     use_fork = bool(use_turbo) and ordering is FIFO_ORDER
-    if use_fork:
-        jit_core = kernel_core.jit_enabled()
-        cleanup_mode = mode is DataMode.CLEANUP
-        sched = low.arrival_schedule(env.bandwidth_bytes_per_sec)
-        snap_every = kernel_core.SNAP_EVERY
-        snapshots: list = []
-    # The cells the fork path cannot take — finite capacity, contended
-    # links, traced runs — batch through the single/capacity SoA loops
-    # with their verdict arrays when the core is active, instead of the
-    # interpreted legacy loops behind a live matrix hook.
-    use_core_cells = (
-        not use_fork
-        and ordering is FIFO_ORDER
-        and mode is not DataMode.REMOTE_IO
-        and low.n_tasks
-        and kernel_core.core_enabled()
-    )
-    if use_core_cells:
-        cleanup_core = mode is DataMode.CLEANUP
-        core_trace = env.record_trace
+    snapshots: list | None = [] if use_fork else None
     baseline_tuple = None
 
     def turbo_baseline() -> tuple:
         nonlocal baseline_tuple
         if baseline_tuple is None:
-            baseline_tuple = kernel_core.turbo_fifo_replay(
-                low, env.n_processors, env.compute_ready_seconds,
-                cleanup_mode, tr_dur, exec_dur, sched,
-                snap_every=snap_every, snapshots=snapshots,
+            baseline_tuple = _run_turbo_core(
+                workflow, low, env, mode, ordering, tr_dur, exec_dur, None,
+                snapshots=snapshots,
             )
         return baseline_tuple
 
@@ -2416,14 +2301,9 @@ def run_monte_carlo(
                     workflow, low, env, mode, ordering, tr_dur, exec_dur,
                     None,
                 )
-            elif use_fork and not jit_core:
+            elif use_turbo:
                 baseline_result = _result_from_turbo_tuple(
                     workflow, env, mode, turbo_baseline()
-                )
-            elif use_turbo:
-                baseline_result = _run_turbo(
-                    workflow, low, env, mode, ordering, tr_dur, exec_dur,
-                    None,
                 )
             else:
                 baseline_result = _run_single(
@@ -2436,13 +2316,8 @@ def run_monte_carlo(
         nonlocal baseline_row
         if baseline_row is None:
             one = summary_batch(1)
-            if use_fork and not jit_core:
+            if use_turbo:
                 one[0] = turbo_baseline() + (False,)
-            elif use_turbo:
-                one[0] = _run_turbo_core(
-                    workflow, low, env, mode, ordering, tr_dur, exec_dur,
-                    None,
-                ) + (False,)
             else:
                 _store_result(one, 0, no_failure_result())
             baseline_row = one[0]
@@ -2486,24 +2361,15 @@ def run_monte_carlo(
                 continue
             try:
                 if use_fork:
-                    if jit_core:
-                        tup = kernel_core.turbo_soa(
-                            low, env, cleanup_mode,
-                            verdicts=flags[:L],
-                            max_retries=max_retries,
-                        )
-                    else:
-                        turbo_baseline()  # materialize the checkpoints
-                        j = int(np.argmax(flags[:L])) // snap_every
-                        if j >= len(snapshots):
-                            j = len(snapshots) - 1
-                        tup = kernel_core.turbo_fifo_replay(
-                            low, env.n_processors,
-                            env.compute_ready_seconds, cleanup_mode,
-                            tr_dur, exec_dur, sched, verdicts=flags,
-                            max_retries=max_retries,
-                            resume=snapshots[j],
-                        )
+                    turbo_baseline()  # materialize the checkpoints
+                    j = int(np.argmax(flags[:L])) // SNAP_EVERY
+                    if j >= len(snapshots):
+                        j = len(snapshots) - 1
+                    tup = _run_turbo_core(
+                        workflow, low, env, mode, ordering, tr_dur,
+                        exec_dur, verdicts=flags, max_retries=max_retries,
+                        resume=snapshots[j],
+                    )
                     if columnar:
                         row = tup + (False,)
                         out[k] = row
@@ -2512,29 +2378,6 @@ def run_monte_carlo(
                     else:
                         result = _result_from_turbo_tuple(
                             workflow, env, mode, tup
-                        )
-                        cells.append(MonteCarloCell(p, seed, result))
-                        pattern_cache[key] = ("ok", result)
-                    continue
-                if use_core_cells:
-                    if use_capacity:
-                        scal, log = kernel_core.capacity_soa(
-                            low, env, cleanup_core, core_trace,
-                            verdicts=flags[:L], max_retries=max_retries,
-                        )
-                    else:
-                        scal, log = kernel_core.single_soa(
-                            low, env, cleanup_core, core_trace,
-                            verdicts=flags[:L], max_retries=max_retries,
-                        )
-                    if columnar:
-                        row = _core_scalars(scal, log) + (False,)
-                        out[k] = row
-                        k += 1
-                        pattern_cache[key] = ("ok", row)
-                    else:
-                        result = _finish_core_run(
-                            workflow, low, env, mode, scal, log, core_trace
                         )
                         cells.append(MonteCarloCell(p, seed, result))
                         pattern_cache[key] = ("ok", result)

@@ -1,37 +1,30 @@
-"""The SoA numeric replay core: backend resolution, parity, forking.
+"""The resumable turbo replay: verdict cells, checkpoint forks, draws.
 
-Three groups of guarantees:
+Two groups of guarantees:
 
-1. **Backend plumbing** — ``REPRO_SIM_JIT`` resolution (auto/on/off and
-   rejection of anything else), clean fallback when ``import numba``
-   raises (monkeypatched — the real module is absent in CI's default
-   leg anyway), a warning-free ``off`` path that never imports numba,
-   and exactly one ``RuntimeWarning`` for an honored-but-interpreted
-   ``on``.
-2. **Loop parity** — :func:`repro.sim.kernel_core.turbo_fifo_replay`
-   and :func:`repro.sim.kernel_core.turbo_soa` must equal the legacy
-   ``_run_turbo_core`` tuple-for-tuple (floats bit-exact) on generated
-   DAGs, with and without failure verdicts, abort messages included;
-   checkpoint forks must equal from-scratch replays; and the whole
-   Monte Carlo grid must be invariant to ``REPRO_SIM_JIT``.
-3. **Draw-stream pinning** — ``_SeedDraws`` must materialize exactly
+1. **Fork parity** — one Monte Carlo cell replayed by
+   ``_run_turbo_core`` four ways must agree tuple-for-tuple (floats
+   bit-exact), abort messages included: with the live ``fail(t,
+   attempt)`` hook, with a verdict array from scratch, forked from the
+   nearest checkpoint of the failure-free baseline, and on the event
+   engine (``simulate(kernel="event")``).
+2. **Draw-stream pinning** — ``_SeedDraws`` must materialize exactly
    ``default_rng(seed).random(n)`` whatever growth pattern produced the
    buffer, so the vectorized pre-draw stays bit-identical to the
    engine's mid-flight draws.
 """
 
-import builtins
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import kernel_core
+from repro.sim import simulate
 from repro.sim.datamanager import DataMode
 from repro.sim.executor import ExecutionEnvironment
 from repro.sim.failures import FailureModel, WorkflowAbortedError
 from repro.sim.kernel import (
+    SNAP_EVERY,
+    SUMMARY_DTYPE,
     KernelConfig,
     _failure_hook,
     _lowering,
@@ -44,89 +37,8 @@ from repro.sim.scheduler import FIFO_ORDER
 
 from tests.strategies import workflows
 
-
-@pytest.fixture(autouse=True)
-def _fresh_backend(monkeypatch):
-    """Isolate backend resolution from the ambient environment."""
-    monkeypatch.delenv(kernel_core.JIT_ENV, raising=False)
-    kernel_core._invalidate_backend()
-    yield
-    kernel_core._invalidate_backend()
-
-
-# ------------------------------------------------------------------ #
-# backend resolution
-# ------------------------------------------------------------------ #
-def test_resolve_jit_defaults_and_env(monkeypatch):
-    assert kernel_core.resolve_jit() == "auto"
-    assert kernel_core.resolve_jit("off") == "off"
-    monkeypatch.setenv(kernel_core.JIT_ENV, "ON")
-    assert kernel_core.resolve_jit() == "on"
-    monkeypatch.setenv(kernel_core.JIT_ENV, "")
-    assert kernel_core.resolve_jit() == "auto"
-
-
-def test_resolve_jit_rejects_unknown(monkeypatch):
-    monkeypatch.setenv(kernel_core.JIT_ENV, "fast")
-    with pytest.raises(ValueError, match="unknown JIT mode"):
-        kernel_core.resolve_jit()
-    with pytest.raises(ValueError, match="unknown JIT mode"):
-        kernel_core.resolve_jit("numba")
-
-
-def _break_numba(monkeypatch):
-    real_import = builtins.__import__
-
-    def broken(name, *args, **kwargs):
-        if name == "numba" or name.startswith("numba."):
-            raise ImportError("numba deliberately broken for this test")
-        return real_import(name, *args, **kwargs)
-
-    monkeypatch.setattr(builtins, "__import__", broken)
-
-
-def test_auto_without_numba_falls_back_silently(monkeypatch):
-    _break_numba(monkeypatch)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        backend = kernel_core.jit_backend()
-    assert backend["mode"] == "auto"
-    assert backend["use_core"] is False
-    assert backend["compiled"] is False
-    assert "numba unavailable" in backend["reason"]
-    assert kernel_core.jit_enabled() is False
-
-
-def test_on_without_numba_warns_once_and_interprets(monkeypatch):
-    _break_numba(monkeypatch)
-    monkeypatch.setenv(kernel_core.JIT_ENV, "on")
-    with pytest.warns(RuntimeWarning, match="numba is not importable"):
-        backend = kernel_core.jit_backend()
-    assert backend["use_core"] is True
-    assert backend["compiled"] is False
-    # Memoized: the warning fires once, not per run.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert kernel_core.jit_enabled() is True
-
-
-def test_off_is_warning_free_and_never_imports_numba(monkeypatch):
-    real_import = builtins.__import__
-    imported = []
-
-    def spying(name, *args, **kwargs):
-        if name == "numba" or name.startswith("numba."):
-            imported.append(name)
-        return real_import(name, *args, **kwargs)
-
-    monkeypatch.setattr(builtins, "__import__", spying)
-    monkeypatch.setenv(kernel_core.JIT_ENV, "off")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        backend = kernel_core.jit_backend()
-        assert kernel_core.jit_enabled() is False
-    assert backend["use_core"] is False
-    assert imported == []
+#: SimulationResult fields in the order of the turbo loop's tuple.
+_FIELDS = tuple(n for n in SUMMARY_DTYPE.names if n != "aborted")
 
 
 # ------------------------------------------------------------------ #
@@ -177,12 +89,16 @@ def test_verdict_fixpoint_is_least_fixpoint():
 
 
 # ------------------------------------------------------------------ #
-# loop parity: interpreted replay / SoA core vs legacy turbo loop
+# fork parity: scratch replay, checkpoint fork and event engine agree
 # ------------------------------------------------------------------ #
-def _legacy_and_core(wf, n_proc, mode, boot, seed, probability):
-    """Run one cell through the legacy loop, the resumable replay, the
-    SoA core, and (when failing) a checkpoint fork; return all outcomes
-    as (tuple | None, abort_message | None) pairs."""
+def _cell_outcomes(wf, n_proc, mode, boot, seed, probability):
+    """Replay one (probability, seed) cell every way the kernel can.
+
+    Returns ``{way: (tuple | None, abort_message | None)}`` for the live
+    failure hook, the verdict array from scratch, the fork from the
+    nearest baseline checkpoint and the event engine — plus the
+    baseline itself when the cell draws no failure.
+    """
     env = ExecutionEnvironment(
         n_processors=n_proc, record_trace=False,
         compute_ready_seconds=boot,
@@ -190,9 +106,17 @@ def _legacy_and_core(wf, n_proc, mode, boot, seed, probability):
     low = _lowering(wf)
     tr_dur = low.transfer_durations(env.bandwidth_bytes_per_sec)
     exec_dur = low.exec_durations(env.task_overhead_seconds)
-    sched = low.arrival_schedule(env.bandwidth_bytes_per_sec)
-    cleanup = mode is DataMode.CLEANUP
     max_retries = 2
+
+    def model():
+        if probability == 0.0:
+            return None
+        return FailureModel(probability, seed=seed, max_retries=max_retries)
+
+    def turbo(**kwargs):
+        return _run_turbo_core(
+            wf, low, env, mode, FIFO_ORDER, tr_dur, exec_dur, **kwargs
+        )
 
     def run(fn):
         try:
@@ -200,46 +124,45 @@ def _legacy_and_core(wf, n_proc, mode, boot, seed, probability):
         except WorkflowAbortedError as exc:
             return None, str(exc)
 
+    def event():
+        result = simulate(
+            wf, n_proc, data_mode=mode, compute_ready_seconds=boot,
+            record_trace=False, failures=model(), kernel="event",
+        )
+        return tuple(getattr(result, name) for name in _FIELDS)
+
+    snaps: list = []
+    baseline = turbo(snapshots=snaps)
+    assert snaps and len(snaps) == 1 + (low.n_tasks - 1) // SNAP_EVERY
     if probability > 0.0:
-        fm = FailureModel(probability, seed=seed, max_retries=max_retries)
-        fail = _failure_hook(low, fm)
         stream = _SeedDraws(seed, n0=64, chunk=64)
         flags, L, nf = _verdict_fixpoint(stream, probability, low.n_tasks)
         verdicts = flags[:L]
+        first = int(np.argmax(verdicts)) if nf else L
     else:
-        fail = None
-        verdicts = None
-        nf = 0
-
-    legacy = run(lambda: _run_turbo_core(
-        wf, low, env, mode, FIFO_ORDER, tr_dur, exec_dur, fail
-    ))
-    replay = run(lambda: kernel_core.turbo_fifo_replay(
-        low, env.n_processors, env.compute_ready_seconds, cleanup,
-        tr_dur, exec_dur, sched, verdicts=verdicts,
-        max_retries=max_retries,
-    ))
-    soa = run(lambda: kernel_core.turbo_soa(
-        low, env, cleanup, verdicts=verdicts, max_retries=max_retries
-    ))
-    outcomes = [legacy, replay, soa]
-
-    if nf:
-        snaps: list = []
-        kernel_core.turbo_fifo_replay(
-            low, env.n_processors, env.compute_ready_seconds, cleanup,
-            tr_dur, exec_dur, sched,
-            snap_every=kernel_core.SNAP_EVERY, snapshots=snaps,
-        )
-        first = int(np.argmax(verdicts))
-        j = min(first // kernel_core.SNAP_EVERY, len(snaps) - 1)
-        fork = run(lambda: kernel_core.turbo_fifo_replay(
-            low, env.n_processors, env.compute_ready_seconds, cleanup,
-            tr_dur, exec_dur, sched, verdicts=flags,
-            max_retries=max_retries, resume=snaps[j],
-        ))
-        outcomes.append(fork)
+        verdicts, nf, first = None, 0, low.n_tasks
+    # The nearest checkpoint at or before the first failure (the last
+    # one for a failure-free cell), as run_monte_carlo picks it.
+    j = min(first // SNAP_EVERY, len(snaps) - 1)
+    outcomes = {
+        "event": run(event),
+        "hook": run(lambda: turbo(fail=_failure_hook(low, model()))),
+        "scratch": run(lambda: turbo(
+            verdicts=verdicts, max_retries=max_retries
+        )),
+        "fork": run(lambda: turbo(
+            verdicts=verdicts, max_retries=max_retries, resume=snaps[j]
+        )),
+    }
+    if not nf:
+        outcomes["baseline"] = (baseline, None)
     return outcomes
+
+
+def _assert_agree(outcomes):
+    ref = outcomes["event"]
+    for way, got in outcomes.items():
+        assert got == ref, way
 
 
 @settings(max_examples=60, deadline=None)
@@ -250,11 +173,9 @@ def _legacy_and_core(wf, n_proc, mode, boot, seed, probability):
     boot=st.sampled_from([0.0, 10.0]),
 )
 def test_core_loops_identical_no_failures(wf, p, mode, boot):
-    outcomes = _legacy_and_core(wf, p, mode, boot, seed=0, probability=0.0)
-    ref = outcomes[0]
-    assert ref[1] is None
-    for other in outcomes[1:]:
-        assert other == ref
+    outcomes = _cell_outcomes(wf, p, mode, boot, seed=0, probability=0.0)
+    assert outcomes["event"][1] is None
+    _assert_agree(outcomes)
 
 
 @settings(max_examples=60, deadline=None)
@@ -262,71 +183,36 @@ def test_core_loops_identical_no_failures(wf, p, mode, boot):
     wf=workflows(),
     p=st.integers(1, 6),
     mode=st.sampled_from((DataMode.REGULAR, DataMode.CLEANUP)),
+    boot=st.sampled_from([0.0, 10.0]),
     seed=st.integers(0, 50),
     probability=st.sampled_from([0.05, 0.2, 0.45]),
 )
-def test_core_loops_identical_under_failures(wf, p, mode, seed, probability):
-    outcomes = _legacy_and_core(
-        wf, p, mode, 0.0, seed=seed, probability=probability
+def test_core_loops_identical_under_failures(
+    wf, p, mode, boot, seed, probability
+):
+    _assert_agree(
+        _cell_outcomes(wf, p, mode, boot, seed=seed, probability=probability)
     )
-    ref = outcomes[0]
-    for other in outcomes[1:]:
-        assert other == ref
 
 
 def test_fork_matches_scratch_on_montage_plate():
-    """Every failing seed of a real plate forks bit-identically."""
+    """Every seed of a real plate forks bit-identically; some fail."""
     from repro.montage.generator import montage_workflow
 
     wf = montage_workflow(1.0)
-    checked = 0
+    failing = 0
     for seed in range(25):
-        outcomes = _legacy_and_core(
+        outcomes = _cell_outcomes(
             wf, 8, DataMode.REGULAR, 0.0, seed=seed, probability=0.02
         )
-        ref = outcomes[0]
-        for other in outcomes[1:]:
-            assert other == ref
-        checked += len(outcomes) - 1
-    assert checked >= 25
-
-
-# ------------------------------------------------------------------ #
-# Monte Carlo invariance to the backend
-# ------------------------------------------------------------------ #
-def _mc_cells(wf, jit, monkeypatch):
-    monkeypatch.setenv(kernel_core.JIT_ENV, jit)
-    kernel_core._invalidate_backend()
-    env = ExecutionEnvironment(n_processors=4, record_trace=False)
-    cfg = KernelConfig(environment=env)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return run_monte_carlo(
-            wf, cfg, (0.0, 0.05, 0.3), range(12), max_retries=1
-        )
-
-
-def test_monte_carlo_invariant_to_backend(monkeypatch):
-    from repro.montage.generator import montage_workflow
-
-    wf = montage_workflow(0.5)
-    off = _mc_cells(wf, "off", monkeypatch)
-    on = _mc_cells(wf, "on", monkeypatch)
-    assert len(off) == len(on)
-    saw_abort = saw_failure = False
-    for a, b in zip(off, on):
-        assert (a.probability, a.seed) == (b.probability, b.seed)
-        assert a.aborted == b.aborted
-        assert a.abort_message == b.abort_message
-        assert a.result == b.result
-        saw_abort = saw_abort or a.aborted
-        if a.result is not None:
-            saw_failure = saw_failure or a.result.n_task_failures > 0
-    assert saw_failure  # the grid exercised the verdict path
+        _assert_agree(outcomes)
+        result = outcomes["event"][0]
+        failing += result is None or result[-1] > 0
+    assert failing >= 10
 
 
 def test_monte_carlo_abort_message_verbatim():
-    """Grid aborts carry the engine's exact message under the core."""
+    """Grid aborts carry the engine's exact message."""
     from repro.montage.generator import montage_workflow
 
     wf = montage_workflow(0.5)

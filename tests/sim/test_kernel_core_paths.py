@@ -1,270 +1,29 @@
-"""Differential suites for the single-run/capacity SoA core paths.
+"""Monte Carlo cells on the fast kernel's contended and capacity paths.
 
-PR 9 proved the turbo loop's SoA transcription; these suites do the
-same for the two loops that joined the core afterwards — the contended
-per-lane FIFO link replay and the finite-``storage_capacity_bytes``
-loop — plus the columnar event-log mode that makes ``record_trace=True``
-runs core-eligible.  Every property pins ``REPRO_SIM_JIT`` (on = SoA
-core, interpreted when numba is absent, compiled in the numba CI leg;
-off = legacy loops) and requires *dataclass equality* of the full
-:class:`SimulationResult` against the event engine: float-exact
-scalars, task/transfer records, StepCurve breakpoints, and verbatim
-deadlock/abort diagnostics.
-
-``REPRO_SIM_CORE=off`` is the escape hatch that pins the legacy loops
-while the backend stays active — the record-assembly parity tests use
-it to run core and oracle side by side in one process.
+Every (probability, seed) cell of :func:`run_monte_carlo` over a
+contended-link or finite-``storage_capacity_bytes`` environment must
+equal a stand-alone event-engine simulation with a fresh
+:class:`FailureModel`: dataclass equality of the :class:`SimulationResult`
+for surviving cells, the verbatim abort message for aborted ones, and a
+deadlock on the grid exactly when the engine deadlocks.  The property
+runs with ``summary_only`` on (traceless cells) and off (cells honour
+the config's ``record_trace=True`` and carry full records and curves).
 """
-
-import contextlib
-import os
-import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import kernel_core, simulate
+from repro.sim import simulate
 from repro.sim.executor import ExecutionEnvironment
 from repro.sim.failures import FailureModel, WorkflowAbortedError
-from repro.sim.kernel import KernelConfig, run_monte_carlo, summary_batch
+from repro.sim.kernel import KernelConfig, run_monte_carlo
 
 from tests.strategies import workflows
 
 pytestmark = pytest.mark.property
 
 
-@pytest.fixture(autouse=True)
-def _fresh_backend(monkeypatch):
-    """Isolate backend/core resolution from the ambient environment."""
-    monkeypatch.delenv(kernel_core.JIT_ENV, raising=False)
-    monkeypatch.delenv(kernel_core.CORE_ENV, raising=False)
-    kernel_core._invalidate_backend()
-    yield
-    kernel_core._invalidate_backend()
-
-
-@contextlib.contextmanager
-def _jit_pinned(mode):
-    prev = os.environ.get(kernel_core.JIT_ENV)
-    os.environ[kernel_core.JIT_ENV] = mode
-    kernel_core._invalidate_backend()
-    try:
-        with warnings.catch_warnings():
-            # "on" without numba warns once that the SoA core runs
-            # interpreted — expected in the no-numba CI leg.
-            warnings.simplefilter("ignore", RuntimeWarning)
-            yield
-    finally:
-        if prev is None:
-            os.environ.pop(kernel_core.JIT_ENV, None)
-        else:
-            os.environ[kernel_core.JIT_ENV] = prev
-        kernel_core._invalidate_backend()
-
-
-@contextlib.contextmanager
-def _core_pinned(mode):
-    prev = os.environ.get(kernel_core.CORE_ENV)
-    os.environ[kernel_core.CORE_ENV] = mode
-    try:
-        yield
-    finally:
-        if prev is None:
-            os.environ.pop(kernel_core.CORE_ENV, None)
-        else:
-            os.environ[kernel_core.CORE_ENV] = prev
-
-
-# ------------------------------------------------------------------ #
-# REPRO_SIM_CORE resolution and gating
-# ------------------------------------------------------------------ #
-def test_resolve_core_defaults_and_env(monkeypatch):
-    assert kernel_core.resolve_core() == "auto"
-    assert kernel_core.resolve_core("off") == "off"
-    monkeypatch.setenv(kernel_core.CORE_ENV, "ON")
-    assert kernel_core.resolve_core() == "on"
-    monkeypatch.setenv(kernel_core.CORE_ENV, "")
-    assert kernel_core.resolve_core() == "auto"
-
-
-def test_resolve_core_rejects_unknown(monkeypatch):
-    monkeypatch.setenv(kernel_core.CORE_ENV, "legacy")
-    with pytest.raises(ValueError, match="unknown core mode"):
-        kernel_core.resolve_core()
-    with pytest.raises(ValueError, match="unknown core mode"):
-        kernel_core.resolve_core("fast")
-
-
-def test_core_enabled_follows_backend_and_escape_hatch(monkeypatch):
-    # Follows the backend: enabled exactly when jit_enabled() is.
-    with _jit_pinned("on"):
-        assert kernel_core.jit_enabled() is True
-        assert kernel_core.core_enabled() is True
-        # The escape hatch disables core routing without touching the
-        # backend (turbo dispatch keys off jit_enabled alone).
-        with _core_pinned("off"):
-            assert kernel_core.jit_enabled() is True
-            assert kernel_core.core_enabled() is False
-    with _jit_pinned("off"):
-        assert kernel_core.core_enabled() is False
-        with _core_pinned("on"):
-            # "on" cannot conjure a backend the JIT mode disabled.
-            assert kernel_core.core_enabled() is False
-
-
-def test_backend_carries_all_three_loops():
-    backend = kernel_core.jit_backend()
-    for key in ("turbo", "single", "capacity"):
-        assert callable(backend[key])
-    if not backend["compiled"]:
-        assert backend["single"] is kernel_core._single_fifo_soa
-        assert backend["capacity"] is kernel_core._capacity_fifo_soa
-
-
-def _count_core_calls(monkeypatch):
-    """Instrument the wrappers so tests can assert routing happened."""
-    calls = {"single": 0, "capacity": 0}
-    real_single = kernel_core.single_soa
-    real_capacity = kernel_core.capacity_soa
-
-    def single(*args, **kwargs):
-        calls["single"] += 1
-        return real_single(*args, **kwargs)
-
-    def capacity(*args, **kwargs):
-        calls["capacity"] += 1
-        return real_capacity(*args, **kwargs)
-
-    monkeypatch.setattr(kernel_core, "single_soa", single)
-    monkeypatch.setattr(kernel_core, "capacity_soa", capacity)
-    return calls
-
-
-def test_traced_and_capacity_runs_route_through_core(monkeypatch):
-    """record_trace=True and finite-capacity runs are core-eligible."""
-    from repro.montage.generator import montage_workflow
-
-    wf = montage_workflow(0.5)
-    calls = _count_core_calls(monkeypatch)
-    with _jit_pinned("on"):
-        simulate(wf, 4, record_trace=True, kernel="fast")
-        simulate(wf, 4, link_contention=True, kernel="fast")
-        simulate(wf, 4, storage_capacity_bytes=1e12, kernel="fast")
-    assert calls == {"single": 2, "capacity": 1}
-    # The escape hatch pins the legacy loops again.
-    with _jit_pinned("on"), _core_pinned("off"):
-        simulate(wf, 4, record_trace=True, kernel="fast")
-        simulate(wf, 4, storage_capacity_bytes=1e12, kernel="fast")
-    assert calls == {"single": 2, "capacity": 1}
-
-
-# ------------------------------------------------------------------ #
-# contended-link replay through the core vs the event engine
-# ------------------------------------------------------------------ #
-@pytest.mark.parametrize("jit", ["on", "off"])
-@settings(max_examples=40, deadline=None)
-@given(
-    wf=workflows(),
-    p=st.integers(1, 6),
-    mode=st.sampled_from(("regular", "cleanup")),
-    sep=st.booleans(),
-    trace=st.booleans(),
-)
-def test_contended_core_identical_to_event_engine(
-    jit, wf, p, mode, sep, trace
-):
-    kwargs = dict(
-        n_processors=p,
-        data_mode=mode,
-        link_contention=True,
-        separate_links=sep,
-        record_trace=trace,
-    )
-    a = simulate(wf, kernel="event", **kwargs)
-    with _jit_pinned(jit):
-        b = simulate(wf, kernel="fast", **kwargs)
-    assert a == b
-
-
-# ------------------------------------------------------------------ #
-# finite-capacity replay through the core vs the event engine
-# ------------------------------------------------------------------ #
-def _run_or_deadlock(wf, kernel, **kwargs):
-    try:
-        return simulate(wf, kernel=kernel, **kwargs), None
-    except RuntimeError as err:
-        return None, str(err)
-
-
-@pytest.mark.parametrize("jit", ["on", "off"])
-@settings(max_examples=40, deadline=None)
-@given(
-    wf=workflows(),
-    p=st.integers(1, 6),
-    mode=st.sampled_from(("regular", "cleanup")),
-    frac=st.sampled_from([0.1, 0.3, 0.6, 2.0]),
-    cont=st.booleans(),
-    trace=st.booleans(),
-)
-def test_capacity_core_identical_to_event_engine(
-    jit, wf, p, mode, frac, cont, trace
-):
-    total = sum(f.size_bytes for f in wf.files.values())
-    kwargs = dict(
-        n_processors=p,
-        data_mode=mode,
-        storage_capacity_bytes=max(total * frac, 1.0),
-        link_contention=cont,
-        record_trace=trace,
-    )
-    a, a_err = _run_or_deadlock(wf, "event", **kwargs)
-    with _jit_pinned(jit):
-        b, b_err = _run_or_deadlock(wf, "fast", **kwargs)
-    # Deadlocks must agree byte-for-byte, capacity hint included.
-    assert a_err == b_err
-    assert a == b
-
-
-# ------------------------------------------------------------------ #
-# columnar record assembly vs the legacy loops (escape hatch oracle)
-# ------------------------------------------------------------------ #
-@settings(max_examples=40, deadline=None)
-@given(
-    wf=workflows(),
-    p=st.integers(1, 6),
-    mode=st.sampled_from(("regular", "cleanup")),
-    cont=st.booleans(),
-    frac=st.sampled_from([None, 0.4, 2.0]),
-    boot=st.sampled_from([0.0, 10.0]),
-)
-def test_columnar_records_match_legacy_loops(wf, p, mode, cont, frac, boot):
-    """Records/curves built from the event log byte-match the legacy
-
-    loops' — same configuration, same process, core on vs pinned off.
-    """
-    total = sum(f.size_bytes for f in wf.files.values())
-    kwargs = dict(
-        n_processors=p,
-        data_mode=mode,
-        link_contention=cont,
-        storage_capacity_bytes=(
-            None if frac is None else max(total * frac, 1.0)
-        ),
-        compute_ready_seconds=boot,
-        record_trace=True,
-    )
-    with _jit_pinned("on"):
-        core, core_err = _run_or_deadlock(wf, "fast", **kwargs)
-        with _core_pinned("off"):
-            legacy, legacy_err = _run_or_deadlock(wf, "fast", **kwargs)
-    assert core_err == legacy_err
-    assert core == legacy
-
-
-# ------------------------------------------------------------------ #
-# Monte Carlo verdict cells through the core (contention + capacity)
-# ------------------------------------------------------------------ #
-@pytest.mark.parametrize("jit", ["on", "off"])
+@pytest.mark.parametrize("summary", ["on", "off"])
 @settings(max_examples=15, deadline=None)
 @given(
     wf=workflows(max_tasks=10),
@@ -275,7 +34,10 @@ def test_columnar_records_match_legacy_loops(wf, p, mode, cont, frac, boot):
     cont=st.booleans(),
     frac=st.sampled_from([None, 0.8]),
 )
-def test_monte_carlo_core_cells_identical(jit, wf, probs, n_seeds, cont, frac):
+def test_monte_carlo_core_cells_identical(
+    summary, wf, probs, n_seeds, cont, frac
+):
+    summary_only = summary == "on"
     total = sum(f.size_bytes for f in wf.files.values())
     env = ExecutionEnvironment(
         n_processors=2,
@@ -283,99 +45,52 @@ def test_monte_carlo_core_cells_identical(jit, wf, probs, n_seeds, cont, frac):
         storage_capacity_bytes=(
             None if frac is None else max(total * frac, 1.0)
         ),
-        record_trace=False,
+        record_trace=not summary_only,
     )
     cfg = KernelConfig(environment=env)
-    with _jit_pinned(jit):
-        try:
-            cells = run_monte_carlo(
-                wf, cfg, probs, range(n_seeds), max_retries=1
-            )
-        except RuntimeError:
-            # Capacity deadlock: must deadlock identically on the
-            # legacy path too, then there is nothing else to compare.
-            with _core_pinned("off"):
-                with pytest.raises(RuntimeError):
-                    run_monte_carlo(
-                        wf, cfg, probs, range(n_seeds), max_retries=1
-                    )
-            return
-    for cell in cells:
-        failures = (
-            FailureModel(cell.probability, seed=cell.seed, max_retries=1)
-            if cell.probability > 0.0
-            else None
+
+    def reference(prob, seed):
+        return simulate(
+            wf,
+            2,
+            link_contention=cont,
+            storage_capacity_bytes=env.storage_capacity_bytes,
+            record_trace=not summary_only,
+            failures=(
+                FailureModel(prob, seed=seed, max_retries=1)
+                if prob > 0.0
+                else None
+            ),
+            kernel="event",
         )
+
+    try:
+        cells = run_monte_carlo(
+            wf, cfg, probs, range(n_seeds), max_retries=1,
+            summary_only=summary_only,
+        )
+    except RuntimeError as err:
+        # Capacity deadlock: the grid raises the event engine's
+        # diagnostic for the first deadlocking (not aborting) cell.
+        assert not isinstance(err, WorkflowAbortedError)
+        deadlocks = []
+        for prob in probs:
+            for seed in range(n_seeds):
+                try:
+                    reference(prob, seed)
+                except WorkflowAbortedError:
+                    continue
+                except RuntimeError as ref_err:
+                    deadlocks.append(str(ref_err))
+        assert deadlocks and deadlocks[0] == str(err)
+        return
+    assert len(cells) == len(probs) * n_seeds
+    for cell in cells:
         try:
-            ref = simulate(
-                wf,
-                2,
-                link_contention=cont,
-                storage_capacity_bytes=env.storage_capacity_bytes,
-                record_trace=False,
-                failures=failures,
-                kernel="event",
-            )
+            ref = reference(cell.probability, cell.seed)
         except WorkflowAbortedError as err:
             assert cell.aborted
             assert cell.abort_message == str(err)
         else:
             assert not cell.aborted
             assert cell.result == ref
-
-
-@settings(max_examples=15, deadline=None)
-@given(
-    wf=workflows(max_tasks=10),
-    probs=st.lists(
-        st.floats(0.0, 0.4, allow_nan=False), min_size=1, max_size=2
-    ),
-    n_seeds=st.integers(1, 3),
-    cont=st.booleans(),
-    frac=st.sampled_from([None, 0.8]),
-)
-def test_monte_carlo_columnar_rows_invariant_to_core(
-    wf, probs, n_seeds, cont, frac
-):
-    """Columnar SUMMARY_DTYPE rows are invariant to the core routing."""
-    total = sum(f.size_bytes for f in wf.files.values())
-    env = ExecutionEnvironment(
-        n_processors=2,
-        link_contention=cont,
-        storage_capacity_bytes=(
-            None if frac is None else max(total * frac, 1.0)
-        ),
-        record_trace=False,
-    )
-    cfg = KernelConfig(environment=env)
-    n_cells = len(probs) * n_seeds
-
-    def rows():
-        out = summary_batch(n_cells)
-        try:
-            run_monte_carlo(
-                wf, cfg, probs, range(n_seeds), max_retries=1, out=out
-            )
-        except RuntimeError as err:
-            return str(err)
-        return out.tobytes()
-
-    with _jit_pinned("on"):
-        core = rows()
-        with _core_pinned("off"):
-            legacy = rows()
-    assert core == legacy
-
-
-def test_capacity_deadlock_message_verbatim_through_core():
-    """A deadlocked core run carries the engine's exact diagnostic."""
-    from repro.montage.generator import montage_workflow
-
-    wf = montage_workflow(0.3)
-    kwargs = dict(n_processors=2, storage_capacity_bytes=1.0)
-    engine, engine_err = _run_or_deadlock(wf, "event", **kwargs)
-    with _jit_pinned("on"):
-        core, core_err = _run_or_deadlock(wf, "fast", **kwargs)
-    assert engine is None and core is None
-    assert engine_err is not None
-    assert core_err == engine_err

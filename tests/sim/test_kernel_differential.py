@@ -281,7 +281,22 @@ def test_kernel_abort_parity(wf, p, mode, prob, seed, retries):
     assert a == b
 
 
-@settings(max_examples=40, deadline=None)
+def _event_cell(wf, prob, seed, retries, **kwargs):
+    """One Monte Carlo cell on the event engine: (result, abort, deadlock)."""
+    failures = (
+        FailureModel(prob, seed=seed, max_retries=retries)
+        if prob > 0.0 else None
+    )
+    try:
+        return simulate(wf, failures=failures, kernel="event", **kwargs), \
+            None, None
+    except WorkflowAbortedError as err:
+        return None, str(err), None
+    except RuntimeError as err:
+        return None, None, str(err)
+
+
+@settings(max_examples=60, deadline=None)
 @given(
     wf=workflows(max_tasks=10),
     p=st.integers(1, 4),
@@ -293,40 +308,55 @@ def test_kernel_abort_parity(wf, p, mode, prob, seed, retries):
     seeds=st.lists(st.integers(0, 2**16), min_size=1, max_size=4,
                    unique=True),
     retries=st.integers(0, 50),
+    cont=st.booleans(),
+    frac=st.sampled_from([None, None, 0.1, 1.0, 2.0]),
 )
 def test_monte_carlo_identical_to_event_engine(
-    wf, p, mode, probs, seeds, retries
+    wf, p, mode, probs, seeds, retries, cont, frac
 ):
     # Every (probability, seed) cell of run_monte_carlo must equal a
     # per-run event-engine simulation with a fresh FailureModel —
-    # including which cells abort, and their messages.
+    # including which cells abort, and their messages — on the whole
+    # resource model: contended links and finite capacities included.
+    # A capacity too small for the workflow deadlocks; the grid must
+    # then raise the engine's diagnostic for the first deadlocking cell.
     from repro.sim import ExecutionEnvironment, KernelConfig
     from repro.sim.kernel import run_monte_carlo
 
-    config = KernelConfig(
-        environment=ExecutionEnvironment(n_processors=p), data_mode=mode
+    total = sum(f.size_bytes for f in wf.files.values())
+    cap = None if frac is None else max(total * frac, 1.0)
+    env_kwargs = dict(
+        n_processors=p, link_contention=cont, storage_capacity_bytes=cap,
     )
+    refs = [
+        _event_cell(wf, prob, seed, retries, data_mode=mode,
+                    record_trace=False, **env_kwargs)
+        for prob in probs
+        for seed in seeds
+    ]
+    config = KernelConfig(
+        environment=ExecutionEnvironment(**env_kwargs), data_mode=mode
+    )
+    deadlocks = [msg for _, _, msg in refs if msg is not None]
+    if deadlocks:
+        with pytest.raises(RuntimeError) as err:
+            run_monte_carlo(wf, config, probs, seeds, max_retries=retries)
+        assert not isinstance(err.value, WorkflowAbortedError)
+        assert str(err.value) == deadlocks[0]
+        return
     cells = run_monte_carlo(wf, config, probs, seeds, max_retries=retries,
                             summary_only=True)
-    i = 0
-    for prob in probs:
-        for seed in seeds:
-            cell = cells[i]
-            i += 1
-            assert cell.probability == prob and cell.seed == seed
-            try:
-                ref = simulate(
-                    wf, p, data_mode=mode, record_trace=False,
-                    failures=FailureModel(prob, seed=seed,
-                                          max_retries=retries),
-                    kernel="event",
-                )
-            except WorkflowAbortedError as err:
-                assert cell.aborted and cell.result is None
-                assert cell.abort_message == str(err)
-                continue
-            assert not cell.aborted
-            assert cell.result == ref
+    assert len(cells) == len(refs)
+    for cell, (prob, seed), (ref, abort, _) in zip(
+        cells, [(q, s) for q in probs for s in seeds], refs
+    ):
+        assert cell.probability == prob and cell.seed == seed
+        if abort is not None:
+            assert cell.aborted and cell.result is None
+            assert cell.abort_message == abort
+            continue
+        assert not cell.aborted
+        assert cell.result == ref
 
 
 @pytest.mark.audit
@@ -405,102 +435,3 @@ def test_capacity_kernel_records_satisfy_audit_oracle(wf, p, mode):
         # the engine is covered by the differential property above).
         assume(False)
     assert result.n_task_executions == len(wf.tasks)
-
-
-# ------------------------------------------------------------------ #
-# backend parameterization: the same differential properties under the
-# SoA core (REPRO_SIM_JIT=on routes eligible FIFO turbo replays through
-# repro.sim.kernel_core; off pins the legacy loops) — the kernel must
-# equal the event engine under either backend.
-# ------------------------------------------------------------------ #
-import contextlib
-import os
-import warnings as _warnings
-
-from repro.sim import kernel_core
-
-
-@contextlib.contextmanager
-def _jit_pinned(mode):
-    prev = os.environ.get(kernel_core.JIT_ENV)
-    os.environ[kernel_core.JIT_ENV] = mode
-    kernel_core._invalidate_backend()
-    try:
-        with _warnings.catch_warnings():
-            # "on" without numba warns once that the SoA core runs
-            # interpreted — expected in the no-numba CI leg.
-            _warnings.simplefilter("ignore", RuntimeWarning)
-            yield
-    finally:
-        if prev is None:
-            os.environ.pop(kernel_core.JIT_ENV, None)
-        else:
-            os.environ[kernel_core.JIT_ENV] = prev
-        kernel_core._invalidate_backend()
-
-
-@pytest.mark.parametrize("jit", ["on", "off"])
-@settings(max_examples=50, deadline=None)
-@given(
-    wf=workflows(),
-    p=st.integers(1, 8),
-    mode=st.sampled_from(DATA_MODES),
-)
-def test_kernel_identical_under_jit_backends(jit, wf, p, mode):
-    with _jit_pinned(jit):
-        a, b = both(wf, n_processors=p, data_mode=mode, record_trace=False)
-    assert a == b
-
-
-@pytest.mark.parametrize("jit", ["on", "off"])
-@settings(max_examples=40, deadline=None)
-@given(
-    wf=workflows(max_tasks=10),
-    p=st.integers(1, 4),
-    spec=failure_specs(),
-)
-def test_kernel_failures_identical_under_jit_backends(jit, wf, p, spec):
-    with _jit_pinned(jit):
-        (ra, ma), (rb, mb) = both_or_abort(
-            wf, spec, n_processors=p, record_trace=False
-        )
-    assert ma == mb
-    assert ra == rb
-
-
-@pytest.mark.parametrize("jit", ["on", "off"])
-@settings(max_examples=20, deadline=None)
-@given(
-    wf=workflows(max_tasks=10),
-    probs=st.lists(
-        st.floats(0.0, 0.4, allow_nan=False), min_size=1, max_size=3
-    ),
-    n_seeds=st.integers(1, 4),
-)
-def test_monte_carlo_identical_under_jit_backends(jit, wf, probs, n_seeds):
-    from repro.sim import ExecutionEnvironment, KernelConfig
-    from repro.sim.failures import FailureModel
-    from repro.sim.kernel import run_monte_carlo
-
-    env = ExecutionEnvironment(n_processors=2, record_trace=False)
-    cfg = KernelConfig(environment=env)
-    with _jit_pinned(jit):
-        cells = run_monte_carlo(
-            wf, cfg, probs, range(n_seeds), max_retries=1
-        )
-    for cell in cells:
-        failures = (
-            FailureModel(cell.probability, seed=cell.seed, max_retries=1)
-            if cell.probability > 0.0 else None
-        )
-        try:
-            ref = simulate(
-                wf, 2, record_trace=False, failures=failures,
-                kernel="event",
-            )
-        except WorkflowAbortedError as err:
-            assert cell.aborted
-            assert cell.abort_message == str(err)
-        else:
-            assert not cell.aborted
-            assert cell.result == ref
