@@ -73,11 +73,14 @@ def _jittered_runtimes(
     return perturbed * (base.sum() / perturbed.sum())
 
 
-#: Memoized default builds (no profile override), keyed by the remaining
-#: arguments.  Building the 4° workflow is ~0.15 s and the experiment
-#: harness used to rebuild it 10+ times per report; callers get a shared
-#: instance and must treat it as immutable (``.copy()`` before mutating).
-_BUILD_CACHE: dict[tuple[float, float, int, str | None], Workflow] = {}
+#: Memoized unjittered default builds (no profile override, ``jitter ==
+#: 0``), keyed by degree and name — the paper's few shared workflows,
+#: which the experiment harness asks for 10+ times per report.  Callers
+#: get a shared instance and must treat it as immutable (``.copy()``
+#: before mutating).  Jittered plates are never memoized: each one is
+#: distinct by construction, so a memo would only pin every plate of a
+#: streamed sky pass in memory; callers that reuse them hold them.
+_BUILD_CACHE: dict[tuple[float, str | None], Workflow] = {}
 
 
 def montage_workflow(
@@ -89,9 +92,14 @@ def montage_workflow(
 ) -> Workflow:
     """Build a Montage workflow for a mosaic of ``degree`` square degrees.
 
-    Calls without a ``profile`` override are memoized: the same arguments
-    return the *same* (shared, fully built and validated) ``Workflow``
-    instance.  Copy it before mutating.
+    Unjittered calls without a ``profile`` override are memoized: the
+    same ``degree`` and ``name`` return the *same* (shared, fully built
+    and validated) ``Workflow`` instance.  Copy it before mutating.
+    Every other call builds afresh (the 4° plate takes ~0.04 s on a
+    2-vCPU Xeon), so a jittered plate lives only as long as its caller
+    holds it — :class:`~repro.grid.GridPlan`,
+    :func:`~repro.montage.campaign.campaign_plates` and a streamed sky
+    pass each keep exactly the plates they use.
 
     Parameters
     ----------
@@ -102,13 +110,13 @@ def montage_workflow(
         Override the calibrated profile (for sensitivity studies).
     jitter, seed:
         Deterministic, total-preserving runtime perturbation (see module
-        docstring).
+        docstring).  ``seed`` has no effect when ``jitter == 0``.
     """
-    if profile is None:
-        key = (float(degree), float(jitter), int(seed), name)
+    if profile is None and jitter == 0.0:
+        key = (float(degree), name)
         cached = _BUILD_CACHE.get(key)
         if cached is None:
-            cached = _build_montage_workflow(degree, None, jitter, seed, name)
+            cached = _build_montage_workflow(degree, None, 0.0, seed, name)
             _BUILD_CACHE[key] = cached
         return cached
     return _build_montage_workflow(degree, profile, jitter, seed, name)
@@ -127,17 +135,25 @@ def _build_montage_workflow(
 
     n = prof.n_images
     img = prof.image_bytes
+    # Each per-image / per-fit file name is formatted once and reused by
+    # its file spec and every task that reads or writes it.
+    raw = [f"raw_{i:04d}.fits" for i in range(n)]
+    proj = [f"proj_{i:04d}.fits" for i in range(n)]
+    proj_area = [f"proj_{i:04d}_area.fits" for i in range(n)]
+    corr = [f"corr_{i:04d}.fits" for i in range(n)]
+    corr_area = [f"corr_{i:04d}_area.fits" for i in range(n)]
+    fits = [f"fit_{k:05d}.txt" for k in range(grid.n_overlaps)]
 
     # ---------------------------------------------------------------- files
     wf.add_file(FileSpec("template.hdr", TEMPLATE_HEADER_BYTES))
     for i in range(n):
-        wf.add_file(FileSpec(f"raw_{i:04d}.fits", img))
-        wf.add_file(FileSpec(f"proj_{i:04d}.fits", img))
-        wf.add_file(FileSpec(f"proj_{i:04d}_area.fits", img))
-        wf.add_file(FileSpec(f"corr_{i:04d}.fits", img))
-        wf.add_file(FileSpec(f"corr_{i:04d}_area.fits", img))
-    for k, (a, b) in enumerate(grid.overlaps):
-        wf.add_file(FileSpec(f"fit_{k:05d}.txt", FIT_FILE_BYTES))
+        wf.add_file(FileSpec(raw[i], img))
+        wf.add_file(FileSpec(proj[i], img))
+        wf.add_file(FileSpec(proj_area[i], img))
+        wf.add_file(FileSpec(corr[i], img))
+        wf.add_file(FileSpec(corr_area[i], img))
+    for fit in fits:
+        wf.add_file(FileSpec(fit, FIT_FILE_BYTES))
     wf.add_file(FileSpec("fits.tbl", CONCAT_TABLE_BYTES))
     wf.add_file(FileSpec("corrections.tbl", CORRECTIONS_TABLE_BYTES))
     wf.add_file(FileSpec("images.tbl", IMAGE_TABLE_BYTES))
@@ -155,15 +171,15 @@ def _build_montage_workflow(
         + ["mImgtbl", "mAdd", "mShrink"]
     )
     runtimes = _jittered_runtimes(prof, transformations, jitter, seed)
-    runtime_iter = iter(runtimes)
+    runtime_iter = iter(runtimes.tolist())
 
     for i in range(n):
         wf.add_task(
             Task(
                 task_id=f"mProject_{i:04d}",
-                runtime=float(next(runtime_iter)),
-                inputs=(f"raw_{i:04d}.fits", "template.hdr"),
-                outputs=(f"proj_{i:04d}.fits", f"proj_{i:04d}_area.fits"),
+                runtime=next(runtime_iter),
+                inputs=(raw[i], "template.hdr"),
+                outputs=(proj[i], proj_area[i]),
                 transformation="mProject",
             )
         )
@@ -171,17 +187,17 @@ def _build_montage_workflow(
         wf.add_task(
             Task(
                 task_id=f"mDiffFit_{k:05d}",
-                runtime=float(next(runtime_iter)),
-                inputs=(f"proj_{a:04d}.fits", f"proj_{b:04d}.fits"),
-                outputs=(f"fit_{k:05d}.txt",),
+                runtime=next(runtime_iter),
+                inputs=(proj[a], proj[b]),
+                outputs=(fits[k],),
                 transformation="mDiffFit",
             )
         )
     wf.add_task(
         Task(
             task_id="mConcatFit",
-            runtime=float(next(runtime_iter)),
-            inputs=tuple(f"fit_{k:05d}.txt" for k in range(grid.n_overlaps)),
+            runtime=next(runtime_iter),
+            inputs=tuple(fits),
             outputs=("fits.tbl",),
             transformation="mConcatFit",
         )
@@ -189,7 +205,7 @@ def _build_montage_workflow(
     wf.add_task(
         Task(
             task_id="mBgModel",
-            runtime=float(next(runtime_iter)),
+            runtime=next(runtime_iter),
             inputs=("fits.tbl",),
             outputs=("corrections.tbl",),
             transformation="mBgModel",
@@ -199,21 +215,17 @@ def _build_montage_workflow(
         wf.add_task(
             Task(
                 task_id=f"mBackground_{i:04d}",
-                runtime=float(next(runtime_iter)),
-                inputs=(
-                    f"proj_{i:04d}.fits",
-                    f"proj_{i:04d}_area.fits",
-                    "corrections.tbl",
-                ),
-                outputs=(f"corr_{i:04d}.fits", f"corr_{i:04d}_area.fits"),
+                runtime=next(runtime_iter),
+                inputs=(proj[i], proj_area[i], "corrections.tbl"),
+                outputs=(corr[i], corr_area[i]),
                 transformation="mBackground",
             )
         )
     wf.add_task(
         Task(
             task_id="mImgtbl",
-            runtime=float(next(runtime_iter)),
-            inputs=tuple(f"corr_{i:04d}.fits" for i in range(n)),
+            runtime=next(runtime_iter),
+            inputs=tuple(corr),
             outputs=("images.tbl",),
             transformation="mImgtbl",
         )
@@ -221,12 +233,8 @@ def _build_montage_workflow(
     wf.add_task(
         Task(
             task_id="mAdd",
-            runtime=float(next(runtime_iter)),
-            inputs=(
-                "images.tbl",
-                *(f"corr_{i:04d}.fits" for i in range(n)),
-                *(f"corr_{i:04d}_area.fits" for i in range(n)),
-            ),
+            runtime=next(runtime_iter),
+            inputs=("images.tbl", *corr, *corr_area),
             outputs=("mosaic.fits",),
             transformation="mAdd",
         )
@@ -234,7 +242,7 @@ def _build_montage_workflow(
     wf.add_task(
         Task(
             task_id="mShrink",
-            runtime=float(next(runtime_iter)),
+            runtime=next(runtime_iter),
             inputs=("mosaic.fits",),
             outputs=("mosaic_small.fits",),
             transformation="mShrink",

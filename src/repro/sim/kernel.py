@@ -37,19 +37,22 @@ Three entry points share the lowering, and three replay loops serve
 them — one per resource model, each written out once:
 
 * :func:`run_fast_kernel` — one configuration, any data mode, traced or
-  not.  :func:`_run_single` covers infinite storage, with contended
-  (FIFO) links modelled inline by tracking each lane's ``busy_until``;
-  finite storage capacities take :func:`_run_capacity`, which mirrors
-  the engine's reservation / admission-control cascade (head-of-line
-  dispatch reservations, gated stage-in pumping with output headroom,
-  space-freed retry order) statement for statement.
-* :func:`run_fast_kernel_batch` — many configurations over one DAG.  The
-  lowering, per-bandwidth transfer durations, per-overhead execution
-  durations and the sorted stage-in arrival schedule are computed once
-  per batch; traceless shared-storage configurations then run on the
-  "turbo" loop, :func:`_run_turbo_core`, which merges the precomputed
-  arrival stream with a small completion heap and integrates the
-  storage curve incrementally instead of materializing it.
+  not.  Finite storage capacities take :func:`_run_capacity`, which
+  mirrors the engine's reservation / admission-control cascade
+  (head-of-line dispatch reservations, gated stage-in pumping with
+  output headroom, space-freed retry order) statement for statement.
+  Traceless runs on an uncontended link in regular or cleanup mode take
+  the "turbo" loop, :func:`_run_turbo_core`, which merges the
+  statically known stage-in arrival stream with a small completion heap
+  and integrates the storage curve incrementally instead of
+  materializing it.  Everything else — traced runs, contended (FIFO)
+  links modelled inline by tracking each lane's ``busy_until``, and
+  remote I/O — takes :func:`_run_single`.
+* :func:`run_fast_kernel_batch` — many configurations over one DAG,
+  routed by the same rule (:func:`_turbo_eligible`).  The lowering,
+  per-bandwidth transfer durations, per-overhead execution durations
+  and the sorted stage-in arrival schedule are cached on the lowering,
+  so a batch computes each of them once.
 * :func:`run_monte_carlo` — one configuration replayed over a whole
   (probability, seed) grid of failure injections.  Per-seed uniform
   draws are pre-drawn with vectorized numpy generators and shared
@@ -486,7 +489,10 @@ def run_fast_kernel(
     draw stream consumed at the same completion-event points as the
     event engine's, so retry schedules, re-billing and
     :class:`~repro.sim.failures.WorkflowAbortedError` raises (which
-    propagate out of this call) are bit-identical.
+    propagate out of this call) are bit-identical.  Routing follows
+    :func:`run_fast_kernel_batch`: finite storage takes the capacity
+    loop, :func:`_turbo_eligible` runs the turbo loop, the rest the
+    single-run loop.
     """
     if isinstance(data_mode, str):
         data_mode = DataMode(data_mode)
@@ -505,9 +511,30 @@ def run_fast_kernel(
             workflow, low, environment, data_mode, ordering, tr_dur,
             exec_dur, fail,
         )
+    if _turbo_eligible(low, environment, data_mode):
+        return _run_turbo(
+            workflow, low, environment, data_mode, ordering, tr_dur,
+            exec_dur, fail,
+        )
     return _run_single(
         workflow, low, environment, data_mode, ordering, tr_dur, exec_dur,
         fail,
+    )
+
+
+def _turbo_eligible(low: _Lowering, environment, data_mode: DataMode) -> bool:
+    """Whether a run takes the turbo loop (:func:`_run_turbo_core`).
+
+    That loop needs statically known stage-in arrivals and no trace:
+    infinite storage, an uncontended link, shared storage (regular or
+    cleanup mode), no trace and at least one task.
+    """
+    return bool(
+        environment.storage_capacity_bytes is None
+        and not environment.record_trace
+        and not environment.link_contention
+        and data_mode is not DataMode.REMOTE_IO
+        and low.n_tasks
     )
 
 
@@ -562,13 +589,7 @@ def run_fast_kernel_batch(
         fail = _failure_hook(low, cfg.failures)
         tr_dur = low.transfer_durations(env.bandwidth_bytes_per_sec)
         exec_dur = low.exec_durations(env.task_overhead_seconds)
-        turbo = (
-            env.storage_capacity_bytes is None
-            and not env.record_trace
-            and not env.link_contention
-            and mode is not DataMode.REMOTE_IO
-            and low.n_tasks
-        )
+        turbo = _turbo_eligible(low, env, mode)
         if columnar and turbo:
             # Hot path: scalars go straight into the record batch.
             out[out_offset + i] = _run_turbo_core(

@@ -21,6 +21,7 @@ Terminology follows the paper:
 from __future__ import annotations
 
 import hashlib
+import math
 from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
@@ -50,6 +51,10 @@ class FileSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise WorkflowValidationError("file name must be non-empty")
+        if not math.isfinite(self.size_bytes):
+            raise WorkflowValidationError(
+                f"file {self.name!r} has non-finite size {self.size_bytes}"
+            )
         if self.size_bytes < 0:
             raise WorkflowValidationError(
                 f"file {self.name!r} has negative size {self.size_bytes}"
@@ -88,23 +93,32 @@ class Task:
     def __post_init__(self) -> None:
         if not self.task_id:
             raise WorkflowValidationError("task_id must be non-empty")
+        if not math.isfinite(self.runtime):
+            raise WorkflowValidationError(
+                f"task {self.task_id!r} has non-finite runtime {self.runtime}"
+            )
         if self.runtime < 0:
             raise WorkflowValidationError(
                 f"task {self.task_id!r} has negative runtime {self.runtime}"
             )
-        if len(set(self.inputs)) != len(self.inputs):
+        # One set answers the valid case; only a mismatch pays for the
+        # separate checks that name the fault.
+        names = set(self.inputs)
+        if len(names) != len(self.inputs):
             raise WorkflowValidationError(
                 f"task {self.task_id!r} lists a duplicate input file"
             )
+        names.update(self.outputs)
+        if len(names) == len(self.inputs) + len(self.outputs):
+            return
         if len(set(self.outputs)) != len(self.outputs):
             raise WorkflowValidationError(
                 f"task {self.task_id!r} lists a duplicate output file"
             )
         overlap = set(self.inputs) & set(self.outputs)
-        if overlap:
-            raise WorkflowValidationError(
-                f"task {self.task_id!r} both consumes and produces {sorted(overlap)}"
-            )
+        raise WorkflowValidationError(
+            f"task {self.task_id!r} both consumes and produces {sorted(overlap)}"
+        )
 
 
 class Workflow:
@@ -125,13 +139,15 @@ class Workflow:
         #: file name -> set of consuming task ids
         self._consumers: dict[str, set[str]] = {}
         self._explicit_outputs: set[str] = set()
-        # Caches, invalidated on mutation.
+        self._version = 0
+        # Derived caches, valid for ``_cache_version``: mutations only bump
+        # ``_version`` and the next read drops them (see _sync_caches).
+        self._cache_version = 0
         self._topo_cache: list[str] | None = None
         self._level_cache: dict[str, int] | None = None
         self._parents_cache: dict[str, frozenset[str]] = {}
         self._children_cache: dict[str, frozenset[str]] = {}
         self._fingerprint_cache: str | None = None
-        self._version = 0
 
     @property
     def version(self) -> int:
@@ -159,7 +175,7 @@ class Workflow:
             return existing
         self._files[file.name] = file
         self._consumers.setdefault(file.name, set())
-        self._invalidate()
+        self._version += 1
         return file
 
     def add_task(self, task: Task) -> Task:
@@ -182,7 +198,7 @@ class Workflow:
             self._producer[fname] = task.task_id
         for fname in task.inputs:
             self._consumers[fname].add(task.task_id)
-        self._invalidate()
+        self._version += 1
         return task
 
     def mark_output(self, file_name: str) -> None:
@@ -190,16 +206,20 @@ class Workflow:
         if file_name not in self._files:
             raise WorkflowValidationError(f"unknown file {file_name!r}")
         self._explicit_outputs.add(file_name)
-        self._fingerprint_cache = None
         self._version += 1
 
-    def _invalidate(self) -> None:
-        self._topo_cache = None
-        self._level_cache = None
-        self._parents_cache.clear()
-        self._children_cache.clear()
-        self._fingerprint_cache = None
-        self._version += 1
+    def _sync_caches(self) -> None:
+        """Drop the derived caches if the workflow changed since they were
+        filled.  Building a workflow mutates it thousands of times and
+        reads it once, so invalidation is paid per read, not per mutation.
+        """
+        if self._cache_version != self._version:
+            self._topo_cache = None
+            self._level_cache = None
+            self._parents_cache = {}
+            self._children_cache = {}
+            self._fingerprint_cache = None
+            self._cache_version = self._version
 
     # ------------------------------------------------------------------ #
     # basic accessors
@@ -239,6 +259,7 @@ class Workflow:
     # ------------------------------------------------------------------ #
     def parents(self, task_id: str) -> frozenset[str]:
         """Tasks whose outputs this task consumes (cached)."""
+        self._sync_caches()
         cached = self._parents_cache.get(task_id)
         if cached is not None:
             return cached
@@ -254,6 +275,7 @@ class Workflow:
 
     def children(self, task_id: str) -> frozenset[str]:
         """Tasks consuming any of this task's outputs (cached)."""
+        self._sync_caches()
         cached = self._children_cache.get(task_id)
         if cached is not None:
             return cached
@@ -322,6 +344,7 @@ class Workflow:
         ``hash()`` — which makes it usable as an on-disk memo key.
         Cached; invalidated on mutation.
         """
+        self._sync_caches()
         if self._fingerprint_cache is not None:
             return self._fingerprint_cache
         h = hashlib.sha256()
@@ -343,17 +366,38 @@ class Workflow:
     # validation / ordering / levels
     # ------------------------------------------------------------------ #
     def topological_order(self) -> list[str]:
-        """Kahn topological order; raises on cycles.  Cached."""
+        """Kahn topological order; raises on cycles.  Cached.
+
+        Roots are queued in insertion order and each task's children in
+        sorted-id order.  In-degrees count (input file, producer)
+        incidences straight off the producer/consumer maps rather than
+        distinct parents; a child still reaches zero exactly when its
+        last parent is dequeued.
+        """
+        self._sync_caches()
         if self._topo_cache is not None:
             return self._topo_cache
-        indeg = {tid: len(self.parents(tid)) for tid in self._tasks}
+        tasks = self._tasks
+        producer = self._producer
+        consumers = self._consumers
+        indeg = {
+            tid: sum(f in producer for f in task.inputs)
+            for tid, task in tasks.items()
+        }
         queue = deque(tid for tid, d in indeg.items() if d == 0)
         order: list[str] = []
         while queue:
             tid = queue.popleft()
             order.append(tid)
-            for child in sorted(self.children(tid)):
-                indeg[child] -= 1
+            outputs = tasks[tid].outputs
+            for fname in outputs:
+                for child in consumers[fname]:
+                    indeg[child] -= 1
+            if len(outputs) == 1:
+                kids = consumers[outputs[0]]
+            else:
+                kids = set().union(*(consumers[f] for f in outputs))
+            for child in sorted(kids):
                 if indeg[child] == 0:
                     queue.append(child)
         if len(order) != len(self._tasks):
@@ -375,6 +419,7 @@ class Workflow:
 
     def levels(self) -> dict[str, int]:
         """Task level per the paper: 1 for roots, else 1 + max parent level."""
+        self._sync_caches()
         if self._level_cache is not None:
             return self._level_cache
         levels: dict[str, int] = {}

@@ -1,5 +1,8 @@
 """Montage workflow generator tests."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.montage.generator import montage_workflow
@@ -137,6 +140,34 @@ class TestJitter:
     def test_negative_jitter_rejected(self):
         with pytest.raises(ValueError):
             montage_workflow(1.0, jitter=-0.1)
+
+
+class TestBuildMemo:
+    def test_unjittered_builds_are_shared(self):
+        assert montage_workflow(1.0) is montage_workflow(1.0)
+        assert montage_workflow(1.0, name="m") is montage_workflow(
+            1.0, name="m"
+        )
+        assert montage_workflow(1.0, name="m") is not montage_workflow(1.0)
+
+    def test_jittered_builds_are_not_memoized(self):
+        a = montage_workflow(1.0, jitter=0.05, seed=4, name="p")
+        b = montage_workflow(1.0, jitter=0.05, seed=4, name="p")
+        assert a is not b
+        assert a.fingerprint() == b.fingerprint()
+
+    def test_streamed_plate_is_freed(self):
+        from repro.sim import simulate
+
+        wf = montage_workflow(1.0, jitter=0.05, seed=11, name="stream-k")
+        result = simulate(wf, 16, "cleanup", record_trace=False)
+        assert result.makespan > 0
+        ref = weakref.ref(wf)
+        del wf, result
+        gc.collect()
+        # Neither the build memo nor the kernel's lowering cache may
+        # keep a streamed plate alive once its caller drops it.
+        assert ref() is None
 
 
 class TestCustomProfiles:

@@ -335,6 +335,86 @@ class TestBatchKernel:
             )
 
 
+class TestSingleRunRouting:
+    """Traceless single runs take the batch's turbo loop, bit-identically."""
+
+    @staticmethod
+    def three_ways(wf, mode, ordering, boot, failures):
+        """The run via run_fast_kernel, a one-config batch and the engine.
+
+        ``failures`` builds a fresh model per path (its draw stream is
+        consumed by the replay); each entry is a result or the abort
+        message.
+        """
+        env = ExecutionEnvironment(
+            n_processors=4, compute_ready_seconds=boot, record_trace=False
+        )
+        calls = (
+            lambda: run_fast_kernel(wf, env, mode, ordering=ordering,
+                                    failures=failures()),
+            lambda: run_fast_kernel_batch(
+                wf, [KernelConfig(env, mode, ordering, failures())]
+            )[0],
+            lambda: simulate(wf, 4, mode, compute_ready_seconds=boot,
+                             ordering=ordering, failures=failures(),
+                             record_trace=False, kernel="event"),
+        )
+        out = []
+        for call in calls:
+            try:
+                out.append(call())
+            except WorkflowAbortedError as err:
+                out.append(str(err))
+        return out
+
+    @pytest.mark.parametrize("mode", ["regular", "cleanup"])
+    @pytest.mark.parametrize("ordering", [FIFO_ORDER, LONGEST_FIRST])
+    @pytest.mark.parametrize("boot", [0.0, 45.0])
+    @pytest.mark.parametrize("probability", [0.0, 0.2])
+    def test_matches_batch_and_event_engine(
+        self, mode, ordering, boot, probability
+    ):
+        wf = montage_workflow(1.0)
+        single, batch, event = self.three_ways(
+            wf, mode, ordering, boot,
+            lambda: FailureModel(probability, seed=3, max_retries=50)
+            if probability else None,
+        )
+        assert single == batch == event
+        if probability:
+            assert single.n_task_failures > 0
+
+    @pytest.mark.parametrize("mode", ["regular", "cleanup"])
+    def test_abort_matches_batch_and_event_engine(self, mode):
+        wf = montage_workflow(1.0)
+        single, batch, event = self.three_ways(
+            wf, mode, FIFO_ORDER, 0.0,
+            lambda: FailureModel(0.3, seed=1, max_retries=0),
+        )
+        assert isinstance(single, str) and "no retries left" in single
+        assert single == batch == event
+
+    def test_traceless_run_uses_turbo_loop(self, monkeypatch):
+        from repro.sim import kernel
+
+        wf = small_workflow()
+        traced = run_fast_kernel(
+            wf, ExecutionEnvironment(n_processors=2), "cleanup"
+        )
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("traceless run took the single-run loop")
+
+        monkeypatch.setattr(kernel, "_run_single", unexpected)
+        got = run_fast_kernel(
+            wf, ExecutionEnvironment(n_processors=2, record_trace=False),
+            "cleanup",
+        )
+        assert got.makespan == traced.makespan
+        assert got.storage_byte_seconds == traced.storage_byte_seconds
+        assert got.task_records == [] and got.storage_curve is None
+
+
 class TestLoweringCache:
     def test_mutation_invalidates_cached_lowering(self):
         wf = small_workflow()

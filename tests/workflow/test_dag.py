@@ -1,5 +1,7 @@
 """Core DAG model tests."""
 
+import math
+
 import pytest
 
 from repro.workflow.dag import (
@@ -17,6 +19,11 @@ class TestFileSpec:
         with pytest.raises(WorkflowValidationError):
             FileSpec("f", -1.0)
 
+    @pytest.mark.parametrize("size", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_size(self, size):
+        with pytest.raises(WorkflowValidationError, match="non-finite size"):
+            FileSpec("f", size)
+
     def test_rejects_empty_name(self):
         with pytest.raises(WorkflowValidationError):
             FileSpec("", 1.0)
@@ -32,17 +39,31 @@ class TestTask:
         with pytest.raises(WorkflowValidationError):
             Task("t", -1.0)
 
+    @pytest.mark.parametrize("runtime", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_runtime(self, runtime):
+        with pytest.raises(
+            WorkflowValidationError, match="non-finite runtime"
+        ):
+            Task("t", runtime)
+
     def test_rejects_duplicate_inputs(self):
-        with pytest.raises(WorkflowValidationError):
-            Task("t", 1.0, inputs=("a", "a"))
+        with pytest.raises(
+            WorkflowValidationError, match="'t' lists a duplicate input file"
+        ):
+            Task("t", 1.0, inputs=("a", "a"), outputs=("a", "a"))
 
     def test_rejects_duplicate_outputs(self):
-        with pytest.raises(WorkflowValidationError):
-            Task("t", 1.0, outputs=("a", "a"))
+        with pytest.raises(
+            WorkflowValidationError, match="'t' lists a duplicate output file"
+        ):
+            Task("t", 1.0, inputs=("b",), outputs=("a", "a", "b"))
 
     def test_rejects_input_output_overlap(self):
-        with pytest.raises(WorkflowValidationError):
-            Task("t", 1.0, inputs=("a",), outputs=("a",))
+        with pytest.raises(WorkflowValidationError) as err:
+            Task("t", 1.0, inputs=("a", "b", "c"), outputs=("c", "a", "d"))
+        assert str(err.value) == (
+            "task 't' both consumes and produces ['a', 'c']"
+        )
 
 
 class TestConstruction:
