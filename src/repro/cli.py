@@ -764,7 +764,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--jitter", type=float, default=0.05,
-        help="per-plate runtime/size jitter fraction (default 0.05)",
+        help="per-plate task-runtime jitter fraction (default 0.05)",
     )
     p.add_argument(
         "--processors", type=str, default="4,8,16",
@@ -814,7 +814,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--jitter", type=float, default=0.05,
-        help="per-plate runtime/size jitter fraction (default 0.05)",
+        help="per-plate task-runtime jitter fraction (default 0.05)",
     )
     p.add_argument(
         "--policy", choices=["immediate", "sweep", "budget"],

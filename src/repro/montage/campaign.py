@@ -42,11 +42,13 @@ def campaign_plates(
     Plates follow the :func:`repro.montage.sky.sky_plate_centers` tiling
     order and are named after their centers, so the campaign
     orchestrator's provenance log reads as sky coordinates.  Each plate
-    gets a deterministic, total-preserving runtime/size ``jitter`` keyed
+    gets a deterministic, total-preserving task-runtime ``jitter`` keyed
     on its tiling index — real plates differ by source density — which
     also guarantees the distinct content fingerprints the provenance
-    layer requires.  ``jitter`` must be positive for more plates than
-    one (identical plates would share a fingerprint).
+    layer requires.  Jitter leaves file sizes and the DAG untouched, so
+    every plate shares its degree's memoized base structure.  ``jitter``
+    must be positive for more plates than one (identical plates would
+    share a fingerprint).
     """
     if n_plates < 1:
         raise ValueError(f"need at least one plate, got {n_plates}")

@@ -414,6 +414,26 @@ class _Lowering:
             self._arrival_cache[bandwidth] = sched
         return sched
 
+    def with_runtimes(self, workflow: Workflow, version: int) -> "_Lowering":
+        """Lowering of ``workflow``, a runtime-only variant of this one.
+
+        Shares every structural list, the cleanup tables and the
+        size-only transfer/arrival caches; only the runtime vector and
+        the ``overhead + runtime`` cache are the variant's own — a
+        shared exec cache would hand one plate another's durations.
+        """
+        self.cleanup_tables()
+        low = _Lowering.__new__(_Lowering)
+        for slot in _Lowering.__slots__:
+            setattr(low, slot, getattr(self, slot))
+        low.version = version
+        low.runtimes_arr = np.array(
+            [t.runtime for t in workflow.tasks.values()], dtype=np.float64
+        )
+        low.runtimes = low.runtimes_arr.tolist()
+        low._exec_cache = {}
+        return low
+
 
 _LOWERINGS: "WeakKeyDictionary[Workflow, _Lowering]" = WeakKeyDictionary()
 
@@ -422,7 +442,13 @@ def _lowering(workflow: Workflow) -> _Lowering:
     version = workflow.version  # bumped by every structural mutation
     low = _LOWERINGS.get(workflow)
     if low is None or low.version != version:
-        low = _Lowering(workflow, version)
+        link = workflow._base
+        if version == 0 and link is not None and link[0].version == link[1]:
+            # A runtime-only copy (it starts at version 0) that neither
+            # it nor its base has been mutated since.
+            low = _lowering(link[0]).with_runtimes(workflow, version)
+        else:
+            low = _Lowering(workflow, version)
         _LOWERINGS[workflow] = low
     return low
 

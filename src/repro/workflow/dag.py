@@ -148,6 +148,19 @@ class Workflow:
         self._parents_cache: dict[str, frozenset[str]] = {}
         self._children_cache: dict[str, frozenset[str]] = {}
         self._fingerprint_cache: str | None = None
+        #: ``(base, base.version)`` for a workflow made by
+        #: :meth:`_with_runtimes`, else ``None``; not pickled.
+        self._base: tuple[Workflow, int] | None = None
+
+    def __getstate__(self) -> dict:
+        # The base link would drag the whole base into every pickle, and
+        # the per-task parent/child/level caches are cheap to refill.
+        state = self.__dict__.copy()
+        state["_base"] = None
+        state["_level_cache"] = None
+        state["_parents_cache"] = {}
+        state["_children_cache"] = {}
+        return state
 
     @property
     def version(self) -> int:
@@ -477,6 +490,41 @@ class Workflow:
             wf.add_task(t)
         for fname in self._explicit_outputs:
             wf.mark_output(fname)
+        return wf
+
+    def _with_runtimes(
+        self, runtimes: Iterable[float], name: str
+    ) -> "Workflow":
+        """Copy with every task's runtime replaced, in task order.
+
+        The copy shares the immutable :class:`FileSpec` objects and the
+        task ``inputs``/``outputs`` tuples, gets its own file, producer,
+        consumer and output tables (so mutating it never touches this
+        workflow), and starts with this workflow's topological order,
+        levels and parent/child sets, which do not depend on runtimes.
+        Its fingerprint is computed afresh.  It records ``(self,
+        self.version)`` so the fast kernel can derive its lowering from
+        this workflow's while neither side has changed.
+        """
+        self.validate()
+        wf = Workflow(name)
+        wf._files = self._files.copy()
+        wf._tasks = {
+            t.task_id: Task(
+                t.task_id, runtime, t.inputs, t.outputs, t.transformation
+            )
+            for t, runtime in zip(self._tasks.values(), runtimes, strict=True)
+        }
+        wf._producer = self._producer.copy()
+        wf._consumers = dict(
+            zip(self._consumers, map(set.copy, self._consumers.values()))
+        )
+        wf._explicit_outputs = self._explicit_outputs.copy()
+        wf._topo_cache = self._topo_cache
+        wf._level_cache = self._level_cache
+        wf._parents_cache = self._parents_cache.copy()
+        wf._children_cache = self._children_cache.copy()
+        wf._base = (self, self._version)
         return wf
 
     def with_file_sizes(

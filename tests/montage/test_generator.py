@@ -1,12 +1,14 @@
 """Montage workflow generator tests."""
 
 import gc
+import math
 import weakref
 
 import pytest
 
-from repro.montage.generator import montage_workflow
+from repro.montage.generator import _BUILD_CACHE, montage_workflow
 from repro.montage.profiles import profile_for_degree
+from repro.sweep.builders import clear_build_caches
 from repro.workflow.analysis import (
     communication_to_computation_ratio,
     critical_path,
@@ -140,6 +142,15 @@ class TestJitter:
     def test_negative_jitter_rejected(self):
         with pytest.raises(ValueError):
             montage_workflow(1.0, jitter=-0.1)
+
+    @pytest.mark.parametrize("jitter", [math.nan, math.inf, -math.inf, -0.1])
+    @pytest.mark.parametrize("override", [False, True])
+    def test_bad_jitter_rejected_before_any_build(self, jitter, override):
+        clear_build_caches()
+        profile = profile_for_degree(1.0) if override else None
+        with pytest.raises(ValueError, match="jitter"):
+            montage_workflow(1.0, profile=profile, jitter=jitter, seed=3)
+        assert not _BUILD_CACHE
 
 
 class TestBuildMemo:
