@@ -135,149 +135,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _compare_bench(old_path: str, new_path: str) -> int:
-    """Print per-section metric deltas between two BENCH artifacts.
-
-    Every ``*_seconds`` timing is reported as OLD/NEW (>1x = the new
-    run is faster) and every ``speedup``/``*_per_second`` metric as
-    NEW/OLD (>1x = the new run improved), section by section, so a CI
-    summary can show at a glance what a change did to the committed
-    benchmarks.  Sections present on only one side are noted, never an
-    error — artifacts from different benchmark generations stay
-    comparable.
-    """
-    import json
-    from pathlib import Path
-
-    try:
-        old = json.loads(Path(old_path).read_text(encoding="utf-8"))
-        new = json.loads(Path(new_path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as err:
-        print(f"cannot compare bench artifacts: {err}")
-        return 1
-
-    def leaves(node: dict, prefix: str = ""):
-        for key in sorted(node):
-            value = node[key]
-            dotted = f"{prefix}{key}"
-            if isinstance(value, dict):
-                yield from leaves(value, dotted + ".")
-            elif isinstance(value, (int, float)) and not isinstance(
-                value, bool
-            ):
-                yield dotted, float(value)
-
-    rows = []
-    shared = [
-        key for key in new
-        if key != "machine"
-        and isinstance(new.get(key), dict)
-        and isinstance(old.get(key), dict)
-    ]
-    for section in shared:
-        old_leaves = dict(leaves(old[section]))
-        for dotted, new_value in leaves(new[section]):
-            old_value = old_leaves.get(dotted)
-            if old_value is None or old_value <= 0 or new_value <= 0:
-                continue
-            metric = dotted.rsplit(".", 1)[-1]
-            if metric.endswith("seconds"):
-                ratio = old_value / new_value
-                note = "faster" if ratio >= 1.0 else "slower"
-            elif "speedup" in metric or metric.endswith("per_second"):
-                ratio = new_value / old_value
-                note = "up" if ratio >= 1.0 else "down"
-            else:
-                continue
-            rows.append((
-                f"{section}.{dotted}",
-                f"{old_value:,.4g}",
-                f"{new_value:,.4g}",
-                f"{ratio:.2f}x {note}",
-            ))
-    print(format_table(("section.metric", "old", "new", "delta"), rows))
-    for key in sorted(set(old) - set(new) - {"machine"}):
-        print(f"note: section {key!r} present only in OLD")
-    for key in sorted(set(new) - set(old) - {"machine"}):
-        print(f"note: section {key!r} present only in NEW")
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Time the kernel hot path; optionally dump a cProfile summary."""
-    import time
-    from pathlib import Path
-
-    if getattr(args, "compare", None):
-        return _compare_bench(*args.compare)
-
-    from repro.sim.executor import ExecutionEnvironment
-    from repro.sim.kernel import (
-        KernelConfig, run_fast_kernel, run_monte_carlo,
-    )
-
-    wf = montage_workflow(args.degree)
-    env = ExecutionEnvironment(
-        n_processors=args.processors, record_trace=False
-    )
-    cfg = KernelConfig(environment=env)
-    probabilities = (0.0, 0.01, 0.05)
-    seeds = range(args.seeds)
-
-    def hot_path() -> None:
-        run_fast_kernel(wf, env)
-        run_monte_carlo(
-            wf, cfg, probabilities, seeds, max_retries=3, out=None
-        )
-
-    hot_path()  # warm the lowering caches
-    best = float("inf")
-    for _ in range(max(1, args.repeats)):
-        start = time.perf_counter()
-        hot_path()
-        best = min(best, time.perf_counter() - start)
-
-    n_cells = len(probabilities) * args.seeds
-    print(
-        format_table(
-            ("metric", "value"),
-            [
-                ("workflow", wf.name),
-                ("processors", args.processors),
-                ("grid cells", n_cells),
-                ("best pass", f"{best * 1e3:.2f} ms"),
-                ("cells/s", f"{n_cells / best:,.0f}"),
-            ],
-        )
-    )
-
-    if args.profile:
-        import cProfile
-        import io
-        import pstats
-
-        prof = cProfile.Profile()
-        prof.enable()
-        hot_path()
-        prof.disable()
-        stream = io.StringIO()
-        stats = pstats.Stats(prof, stream=stream)
-        stats.sort_stats("cumulative").print_stats(30)
-        stats.sort_stats("tottime").print_stats(15)
-        if args.output is not None:
-            out_path = Path(args.output)
-        else:
-            # Next to the BENCH artifacts in a source checkout, the
-            # working directory otherwise (installed package).
-            bench_dir = Path(__file__).resolve().parents[2] / "benchmarks"
-            out_path = (
-                bench_dir if bench_dir.is_dir() else Path.cwd()
-            ) / "PROFILE_kernel.txt"
-        out_path.write_text(stream.getvalue(), encoding="utf-8")
-        print(f"\nprofile written: {out_path}")
-    return 0
-
-
 def _print_cache_stats() -> None:
     from repro.sweep.cache import default_cache
 
@@ -979,40 +836,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="q1: Figures 4-6 curves; modes: Figures 7-9 bars",
     )
     p.set_defaults(handler=_cmd_plot)
-
-    p = sub.add_parser(
-        "bench",
-        help="kernel hot-path timing, with optional cProfile dump",
-    )
-    p.add_argument(
-        "--degree", type=float, default=1.0,
-        help="mosaic size in square degrees (default 1.0)",
-    )
-    p.add_argument("--processors", type=int, default=8)
-    p.add_argument(
-        "--seeds", type=int, default=20,
-        help="Monte Carlo seeds per probability (default 20)",
-    )
-    p.add_argument(
-        "--repeats", type=int, default=3,
-        help="timing passes; the best is reported (default 3)",
-    )
-    p.add_argument(
-        "--profile", action="store_true",
-        help="dump a cProfile/pstats summary of the kernel hot path "
-             "next to the BENCH artifacts",
-    )
-    p.add_argument(
-        "--output", type=str, default=None,
-        help="profile destination (default benchmarks/PROFILE_kernel.txt)",
-    )
-    p.add_argument(
-        "--compare", nargs=2, metavar=("OLD.json", "NEW.json"),
-        default=None,
-        help="print per-section speedup deltas between two BENCH "
-             "artifacts instead of timing the hot path",
-    )
-    p.set_defaults(handler=_cmd_bench)
 
     p = sub.add_parser("report", help="full paper-comparison report")
     p.add_argument("--fast", action="store_true")

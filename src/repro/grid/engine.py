@@ -14,8 +14,10 @@ cells on traceless shared-storage FIFO points fork the turbo loop from
 the baseline's nearest checkpoint, bit-identically.
 
 Shards run serially, or over a ``ProcessPoolExecutor`` when more than
-one worker resolves (``REPRO_SWEEP_WORKERS`` / core count, exactly the
-sweep executor's rules — a 1-core box takes the serial path).  As each
+one worker resolves (:func:`~repro.sweep.executor.resolve_workers`:
+``REPRO_SWEEP_WORKERS``, capped at the core count — a 1-core box takes
+the serial path).  This shard pool is the only process pool in the
+package; plain sweeps always run in-process.  As each
 shard completes, its record batch is *checkpointed* into the sweep
 cache as a whole-shard blob keyed by (plan fingerprint, shard plate
 set); a rerun of an interrupted campaign answers completed shards from
@@ -150,11 +152,11 @@ def run_grid(
     """Execute a campaign grid; returns rows in canonical plan order.
 
     ``shards`` controls the checkpoint/parallelism granularity (default
-    :data:`DEFAULT_SHARDS`); ``workers`` follows the sweep executor's
-    resolution rules; ``cache`` (default: the process-wide sweep cache)
-    supplies shard checkpoints when it has a disk layer — pass a cache
-    without one to disable checkpointing.  ``progress`` receives one
-    human-readable line per shard event.
+    :data:`DEFAULT_SHARDS`); ``workers`` is resolved by
+    :func:`~repro.sweep.executor.resolve_workers`; ``cache`` (default:
+    the process-wide sweep cache) supplies shard checkpoints when it has
+    a disk layer — pass a cache without one to disable checkpointing.
+    ``progress`` receives one human-readable line per shard event.
     """
     say = progress if progress is not None else (lambda _msg: None)
     cache = cache if cache is not None else default_cache()

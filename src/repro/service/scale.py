@@ -30,7 +30,7 @@ with three layers:
 Every approximation is validated the way the fast kernel was: a
 differential harness (:func:`validate_fluid`) replays subsampled traffic
 windows through the event-based simulator and bounds the error (see the
-``service-scale`` ablation and ``BENCH_service.json``).
+``service-scale`` ablation and ``tests/service/test_fluid_vs_event.py``).
 """
 
 from __future__ import annotations

@@ -91,6 +91,18 @@ class ExecutionEnvironment:
     record_trace: bool = True
 
     def __post_init__(self) -> None:
+        # Written as ``not (x > 0)`` so NaN is rejected too: every backend
+        # sees the same error instead of a deadlock or a negative makespan.
+        if not self.bandwidth_bytes_per_sec > 0:
+            raise ValueError(
+                "bandwidth must be positive, "
+                f"got {self.bandwidth_bytes_per_sec}"
+            )
+        capacity = self.storage_capacity_bytes
+        if capacity is not None and not capacity > 0:
+            raise ValueError(
+                f"capacity must be positive or None, got {capacity}"
+            )
         if self.compute_ready_seconds < 0:
             raise ValueError(
                 f"negative compute_ready_seconds {self.compute_ready_seconds}"

@@ -1,4 +1,4 @@
-"""Parallel sweep engine with content-addressed simulation memoization.
+"""Sweep engine with content-addressed simulation memoization.
 
 The paper's results are all *sweeps* — processor ladders, data-mode
 comparisons, CCR grids, whole-sky campaigns — and every point is an
@@ -10,9 +10,10 @@ into batches:
 * :class:`~repro.sweep.cache.SimCache` — fingerprint-keyed result store,
   in-memory plus optional on-disk (``REPRO_SWEEP_CACHE``);
 * :class:`~repro.sweep.executor.SweepExecutor` / :func:`run_jobs` — memo
-  lookup, batch-level deduplication, then serial or process-pool
-  execution (``REPRO_SWEEP_WORKERS``), with results returned in
-  submission order so sweep output is byte-identical however it ran.
+  lookup, batch-level deduplication, then in-process execution with
+  workflow-sharing misses batched through the fast kernel, with results
+  returned in submission order so sweep output is byte-identical however
+  the misses were grouped.
 
 See ``docs/architecture.md`` ("Sweep & caching layer") for the design
 and ``docs/tutorial.md`` for a worked example.
@@ -23,7 +24,6 @@ from repro.sweep.cache import SimCache, default_cache, reset_default_cache
 from repro.sweep.executor import (
     SweepExecutor,
     resolve_audit,
-    resolve_min_batch,
     resolve_workers,
     run_jobs,
     set_default_audit,
@@ -37,7 +37,6 @@ __all__ = [
     "SweepExecutor",
     "run_jobs",
     "resolve_workers",
-    "resolve_min_batch",
     "resolve_audit",
     "set_default_audit",
     "default_cache",

@@ -1,9 +1,9 @@
-"""Fan-out execution of independent simulation points.
+"""Memoized, batched execution of independent simulation points.
 
 :class:`SweepExecutor` takes a list of :class:`~repro.sweep.job.SimJob`
 and returns their results **in submission order**, so callers that build
-tables row-by-row stay byte-identical to a serial loop regardless of how
-many workers actually ran.  The pipeline per batch is:
+tables row-by-row stay byte-identical to a plain loop regardless of how
+the misses were grouped.  The pipeline per batch is:
 
 1. answer every job the cache already knows;
 2. deduplicate the remaining misses by fingerprint (a batch often
@@ -17,10 +17,7 @@ many workers actually ran.  The pipeline per batch is:
    :func:`repro.sim.kernel.run_fast_kernel_batch` call — the DAG is
    lowered once for the whole unit — while explicit ``kernel="event"``
    jobs stay per-job :meth:`SimJob.run` calls;
-4. execute the units — serially, or over a ``ProcessPoolExecutor`` when
-   more than one worker resolves *and* the batch of misses is at least
-   ``MIN_PARALLEL_BATCH`` jobs (``REPRO_SWEEP_MIN_BATCH``); smaller
-   batches never amortize the pool spawn + pickle cost;
+4. execute the units in-process, one after another;
 5. populate the cache and reassemble the results in input order.
 
 Batched units return results bit-identical to per-job runs (the batch
@@ -29,18 +26,19 @@ per-job fingerprints and cache semantics are unchanged.  Audited runs
 bypass both the cache and the batching: every audited job is executed
 on the event engine with tracing forced on.
 
-Worker count resolution: an explicit ``workers=`` argument wins, then the
+Sweeps never fan out over processes: on the 2-vCPU hosts this project
+is measured on, a pool made the paper report slower, not faster (see
+``docs/performance.md``).  :func:`resolve_workers` lives here because
+the campaign grid (:mod:`repro.grid.engine`) sizes its shard pool with
+it: an explicit ``workers=`` argument wins, then the
 ``REPRO_SWEEP_WORKERS`` environment variable, then ``MAX_AUTO_WORKERS``
-— and the result is always capped at the machine's core count, so a
-1-core machine takes the serial fallback (no subprocesses, no pickling)
-no matter what was requested.
+— and the result is always capped at the machine's core count.
 """
 
 from __future__ import annotations
 
 import os
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 from repro.audit import audit_simulation
@@ -53,7 +51,6 @@ __all__ = [
     "SweepExecutor",
     "run_jobs",
     "resolve_workers",
-    "resolve_min_batch",
     "resolve_audit",
     "set_default_audit",
 ]
@@ -64,17 +61,9 @@ WORKERS_ENV = "REPRO_SWEEP_WORKERS"
 #: Environment override for auditing ("1" audits every executed job).
 AUDIT_ENV = "REPRO_SWEEP_AUDIT"
 
-#: Cap on the auto-detected worker count; sweeps are batches of tens of
-#: jobs, so more workers than that only buys pickling overhead.
+#: Cap on the auto-detected worker count; the grid's default plan has
+#: eight shards, so more workers than that would only idle.
 MAX_AUTO_WORKERS = 8
-
-#: Environment override for the minimum batch size worth a process pool.
-MIN_BATCH_ENV = "REPRO_SWEEP_MIN_BATCH"
-
-#: Smallest number of cache-missing jobs for which spawning a pool can
-#: beat the serial loop (spawn + pickle costs ~a second; a traceless
-#: Montage run is tens of milliseconds).
-MIN_PARALLEL_BATCH = 4
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -99,19 +88,6 @@ def resolve_workers(workers: int | None = None) -> int:
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
     return min(workers, os.cpu_count() or 1)
-
-
-def resolve_min_batch() -> int:
-    """Smallest pending batch that justifies a process pool (env override)."""
-    env = os.environ.get(MIN_BATCH_ENV)
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(
-                f"{MIN_BATCH_ENV} must be an integer, got {env!r}"
-            ) from None
-    return MIN_PARALLEL_BATCH
 
 
 _default_audit = False
@@ -140,11 +116,6 @@ def resolve_audit(audit: bool | None = None) -> bool:
     return _default_audit
 
 
-def _execute(job: SimJob) -> SimulationResult:
-    """Module-level worker entry point (must be picklable)."""
-    return job.run()
-
-
 def _batchable(job: SimJob) -> bool:
     """Can this job join a fast-kernel batch?
 
@@ -157,28 +128,26 @@ def _batchable(job: SimJob) -> bool:
     return job.kernel in ("auto", "fast")
 
 
-def _execute_batch(jobs: Sequence[SimJob]) -> list[SimulationResult]:
-    """Run one workflow-sharing unit through the batched fast kernel."""
-    configs = [job.kernel_config() for job in jobs]
-    return run_fast_kernel_batch(jobs[0].workflow, configs)
-
-
 def _run_unit(jobs: Sequence[SimJob]) -> list[SimulationResult]:
-    """Module-level pool entry point: one unit → its results, in order."""
+    """One execution unit → its results, in order.
+
+    A unit of several jobs shares a workflow and rides one batched
+    fast-kernel call (the DAG is lowered once); a single job runs alone.
+    """
     if len(jobs) > 1:
-        return _execute_batch(jobs)
-    return [_execute(jobs[0])]
+        configs = [job.kernel_config() for job in jobs]
+        return run_fast_kernel_batch(jobs[0].workflow, configs)
+    return [jobs[0].run()]
 
 
 def _execute_audited(job: SimJob) -> SimulationResult:
     """Run one job with tracing forced on and audit the result.
 
-    Raises :class:`repro.audit.AuditError` (picklable, so it propagates
-    out of pool workers) on any reconciliation violation.  The audited
-    run is pinned to the event engine: the audit's whole point is to
-    exercise the engine against the oracle, and the kernel's own
-    equivalence is established separately (differential suite + audited
-    kernel traces in ``tests/sim/``).
+    Raises :class:`repro.audit.AuditError` on any reconciliation
+    violation.  The audited run is pinned to the event engine: the
+    audit's whole point is to exercise the engine against the oracle,
+    and the kernel's own equivalence is established separately
+    (differential suite + audited kernel traces in ``tests/sim/``).
     """
     traced = replace(job, record_trace=True, kernel="event")
     result = traced.run()
@@ -189,15 +158,13 @@ def _execute_audited(job: SimJob) -> SimulationResult:
 
 
 class SweepExecutor:
-    """Run batches of simulation jobs with memoization and fan-out."""
+    """Run batches of simulation jobs with memoization and batching."""
 
     def __init__(
         self,
-        workers: int | None = None,
         cache: SimCache | None = None,
         audit: bool | None = None,
     ) -> None:
-        self.workers = resolve_workers(workers)
         self.cache = cache if cache is not None else default_cache()
         #: reconcile every executed job against its trace (see
         #: :mod:`repro.audit`); audited runs bypass the cache entirely so
@@ -205,8 +172,6 @@ class SweepExecutor:
         self.audit = resolve_audit(audit)
         #: jobs run under the auditor so far (observability/tests)
         self.audited_jobs = 0
-        #: did the last run() batch actually spawn a process pool?
-        self.used_process_pool = False
 
     def run(self, jobs: Sequence[SimJob]) -> list[SimulationResult]:
         """Execute ``jobs``; results are aligned with the input order."""
@@ -225,20 +190,10 @@ class SweepExecutor:
                     continue
             pending.append((key, job))
 
-        self.used_process_pool = False
-        if pending and self.audit:
-            if self.workers > 1 and len(pending) >= resolve_min_batch():
-                self.used_process_pool = True
-                n = min(self.workers, len(pending))
-                with ProcessPoolExecutor(max_workers=n) as pool:
-                    computed = list(
-                        pool.map(_execute_audited, [j for _, j in pending])
-                    )
-            else:
-                computed = [_execute_audited(job) for _, job in pending]
-            for (key, _), result in zip(pending, computed):
+        if self.audit:
+            for key, job in pending:
+                results[key] = _execute_audited(job)
                 self.audited_jobs += 1
-                results[key] = result
         elif pending:
             # Group the misses into execution units: batch-eligible jobs
             # sharing a workflow ride one run_fast_kernel_batch call
@@ -256,21 +211,8 @@ class SweepExecutor:
                         units[idx].append((key, job))
                 else:
                     units.append([(key, job)])
-            if self.workers > 1 and len(pending) >= resolve_min_batch():
-                self.used_process_pool = True
-                n = min(self.workers, len(units))
-                with ProcessPoolExecutor(max_workers=n) as pool:
-                    computed_units = list(
-                        pool.map(
-                            _run_unit,
-                            [[j for _, j in unit] for unit in units],
-                        )
-                    )
-            else:
-                computed_units = [
-                    _run_unit([j for _, j in unit]) for unit in units
-                ]
-            for unit, unit_results in zip(units, computed_units):
+            for unit in units:
+                unit_results = _run_unit([j for _, j in unit])
                 for (key, _), result in zip(unit, unit_results):
                     self.cache.put(key, result)
                     results[key] = result
@@ -284,11 +226,10 @@ class SweepExecutor:
 
 def run_jobs(
     jobs: Sequence[SimJob],
-    workers: int | None = None,
     cache: SimCache | None = None,
     audit: bool | None = None,
 ) -> list[SimulationResult]:
-    """One-call sweep: memoized, fanned out, results in input order.
+    """One-call sweep: memoized, batched, results in input order.
 
     This is what the experiment modules use; with default arguments every
     call in the process shares one cache, so repeated points across
@@ -297,4 +238,4 @@ def run_jobs(
     every job fresh under the trace auditor, raising
     :class:`repro.audit.AuditError` on the first violation.
     """
-    return SweepExecutor(workers=workers, cache=cache, audit=audit).run(jobs)
+    return SweepExecutor(cache=cache, audit=audit).run(jobs)

@@ -389,3 +389,16 @@ class TestCampaignCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "abandoned" in out
+
+
+@pytest.mark.slow
+def test_policy_study_provenance_audits_clean():
+    """2 plates x 2 policies x 5 seeds through the orchestrator, with
+    every campaign's provenance log reconciled by the audit oracle."""
+    from repro.experiments.ablations import campaign_policy_study
+
+    study = campaign_policy_study(
+        n_plates=2, policies=("immediate", "sweep"), n_seeds=5
+    )
+    assert [row[0] for row in study.raw] == ["immediate", "sweep"]
+    assert [row[-1] for row in study.raw] == [0, 0]  # audit violations

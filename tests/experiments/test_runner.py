@@ -1,6 +1,9 @@
 """Full-report runner smoke tests."""
 
+import pytest
+
 from repro.experiments.runner import main, run_all
+from repro.sweep import cache as cache_module
 
 
 class TestRunner:
@@ -27,6 +30,27 @@ class TestRunner:
         assert main(["--fast"]) == 0
         out = capsys.readouterr().out
         assert "Reproduction report" in out
+
+
+class TestWarmRerun:
+    @pytest.fixture
+    def isolated_default_cache(self, monkeypatch):
+        """A fresh in-memory default cache, restored after the test."""
+        monkeypatch.delenv(cache_module.CACHE_DIR_ENV, raising=False)
+        monkeypatch.delenv("REPRO_SWEEP_AUDIT", raising=False)
+        cache_module.reset_default_cache()
+        yield cache_module.default_cache()
+        cache_module.reset_default_cache()
+
+    def test_warm_rerun_is_identical_and_all_hits(
+        self, isolated_default_cache
+    ):
+        cold = run_all(fast=True)
+        misses = isolated_default_cache.stats()["misses"]
+        assert misses > 0
+        warm = run_all(fast=True)
+        assert warm == cold
+        assert isolated_default_cache.stats()["misses"] == misses
 
 
 class TestFullRunner:

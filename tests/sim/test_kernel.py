@@ -171,6 +171,32 @@ class TestAutoFallback:
             errs.append(str(err.value))
         assert errs[0] == errs[1]
 
+    @pytest.mark.parametrize(
+        ("kwargs", "message"),
+        [
+            ({"bandwidth_bytes_per_sec": 0}, "bandwidth must be positive"),
+            ({"bandwidth_bytes_per_sec": -1}, "bandwidth must be positive"),
+            ({"bandwidth_bytes_per_sec": float("nan")},
+             "bandwidth must be positive"),
+            ({"storage_capacity_bytes": 0}, "capacity must be positive"),
+            ({"storage_capacity_bytes": -1}, "capacity must be positive"),
+            ({"storage_capacity_bytes": float("nan")},
+             "capacity must be positive"),
+        ],
+        ids=["bw0", "bw-1", "bw-nan", "cap0", "cap-1", "cap-nan"],
+    )
+    def test_invalid_environment_rejected_identically(self, kwargs, message):
+        # One boundary for both kernels: unchecked, the fast kernel
+        # returns a negative makespan for bandwidth -1 and deadlocks on
+        # the other values.
+        wf = montage_workflow(1.0)
+        errs = []
+        for kernel in ("event", "fast"):
+            with pytest.raises(ValueError, match=message) as err:
+                simulate(wf, 8, kernel=kernel, **kwargs)
+            errs.append((type(err.value), str(err.value)))
+        assert errs[0] == errs[1]
+
     def test_audited_auto_run_uses_event_engine(self):
         # audit=True forces the event path under "auto" (the oracle's
         # job is to check the engine); the result must not change.

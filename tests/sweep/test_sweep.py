@@ -1,13 +1,16 @@
 """Sweep engine: determinism, memoization and fingerprinting.
 
 The contract under test is the one the experiment harness relies on:
-parallel execution and cache hits must be *bit-identical* to a fresh
-serial run — same rows, same makespans, same byte counts, same report
-text — because the paper-comparison report is compared byte-for-byte
-against the seed output.
+batched execution, any ``REPRO_SWEEP_WORKERS`` setting and cache hits
+must be *bit-identical* to a fresh per-job run — same rows, same
+makespans, same byte counts, same report text — because the
+paper-comparison report is compared byte-for-byte against the seed
+output.
 """
 
 from __future__ import annotations
+
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -66,7 +69,7 @@ class TestParallelSerialIdentity:
 
     def test_results_in_submission_order(self, montage1):
         jobs = [SimJob(montage1, p) for p in (16, 1, 4)]
-        results = run_jobs(jobs, workers=2, cache=SimCache())
+        results = run_jobs(jobs, cache=SimCache())
         assert [r.n_processors for r in results] == [16, 1, 4]
         # Monotone: more processors never lengthens the makespan.
         by_p = {r.n_processors: r.makespan for r in results}
@@ -76,7 +79,7 @@ class TestParallelSerialIdentity:
 class TestMemoization:
     def test_cache_hit_returns_equal_result(self, montage1):
         cache = SimCache()
-        executor = SweepExecutor(workers=1, cache=cache)
+        executor = SweepExecutor(cache=cache)
         job = SimJob(montage1, 4, "cleanup")
         first = executor.run_one(job)
         assert cache.misses == 1 and cache.hits == 0
@@ -87,16 +90,16 @@ class TestMemoization:
     def test_batch_level_dedup_simulates_once(self, montage1):
         cache = SimCache()
         job = SimJob(montage1, 2)
-        results = SweepExecutor(workers=1, cache=cache).run([job, job, job])
+        results = SweepExecutor(cache=cache).run([job, job, job])
         assert len(cache) == 1
         assert results[0] == results[1] == results[2]
 
     def test_disk_cache_round_trip(self, montage1, tmp_path):
         job = SimJob(montage1, 4)
-        first = SweepExecutor(workers=1, cache=SimCache(tmp_path)).run_one(job)
+        first = SweepExecutor(cache=SimCache(tmp_path)).run_one(job)
         # A brand-new cache over the same directory answers from disk.
         fresh = SimCache(tmp_path)
-        second = SweepExecutor(workers=1, cache=fresh).run_one(job)
+        second = SweepExecutor(cache=fresh).run_one(job)
         assert fresh.hits == 1 and fresh.misses == 0
         assert second == first
 
@@ -104,8 +107,8 @@ class TestMemoization:
         # A stateful FailureModel is rebuilt per execution, so a cache
         # miss after a clear reproduces the identical failure pattern.
         job = SimJob(montage1, 8, failures=FailureSpec(0.05, seed=7))
-        first = SweepExecutor(workers=1, cache=SimCache()).run_one(job)
-        second = SweepExecutor(workers=1, cache=SimCache()).run_one(job)
+        first = SweepExecutor(cache=SimCache()).run_one(job)
+        second = SweepExecutor(cache=SimCache()).run_one(job)
         assert first.n_task_failures > 0
         assert second == first
 
@@ -114,7 +117,7 @@ class TestMemoization:
 class TestAuditedSweeps:
     def test_audited_run_bypasses_cache(self, montage1):
         cache = SimCache()
-        executor = SweepExecutor(workers=1, cache=cache, audit=True)
+        executor = SweepExecutor(cache=cache, audit=True)
         job = SimJob(montage1, 4)
         first = executor.run_one(job)
         second = executor.run_one(job)
@@ -124,10 +127,8 @@ class TestAuditedSweeps:
 
     def test_audited_results_match_cached_results(self, montage1):
         job = SimJob(montage1, 4, "cleanup")
-        plain = SweepExecutor(workers=1, cache=SimCache()).run_one(job)
-        audited = SweepExecutor(
-            workers=1, cache=SimCache(), audit=True
-        ).run_one(job)
+        plain = SweepExecutor(cache=SimCache()).run_one(job)
+        audited = SweepExecutor(cache=SimCache(), audit=True).run_one(job)
         # The audited run forces tracing; aggregates must be identical.
         assert audited.makespan == plain.makespan
         assert audited.bytes_in == plain.bytes_in
@@ -137,8 +138,7 @@ class TestAuditedSweeps:
     def test_audited_pool_run_propagates_audit_error(
         self, montage1, monkeypatch
     ):
-        # A worker whose audit fails must surface AuditError in the
-        # parent, not a pickling crash.
+        # A job whose audit fails must surface AuditError to the caller.
         def broken(job):
             from dataclasses import replace
 
@@ -153,7 +153,7 @@ class TestAuditedSweeps:
             return result
 
         monkeypatch.setattr(executor_module, "_execute_audited", broken)
-        executor = SweepExecutor(workers=1, cache=SimCache(), audit=True)
+        executor = SweepExecutor(cache=SimCache(), audit=True)
         with pytest.raises(AuditError):
             executor.run([SimJob(montage1, 2)])
 
@@ -176,7 +176,7 @@ class TestAuditedSweeps:
         previous = set_default_audit(True)
         try:
             assert resolve_audit() is True
-            executor = SweepExecutor(workers=1, cache=SimCache())
+            executor = SweepExecutor(cache=SimCache())
             assert executor.audit is True
             executor.run([SimJob(montage1, 2)])
             assert executor.audited_jobs == 1
@@ -254,7 +254,7 @@ class TestFingerprints:
 
 
 class TestSerialFallback:
-    """A 1-core machine (or a small batch) must never pay for a pool."""
+    """Sweeps run in-process; the worker count sizes only the grid's pool."""
 
     def test_workers_capped_at_cpu_count(self, monkeypatch):
         monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 2)
@@ -268,41 +268,37 @@ class TestSerialFallback:
         with pytest.raises(ValueError):
             executor_module.resolve_workers(0)
 
-    def test_min_batch_default_and_env(self, monkeypatch):
-        monkeypatch.delenv(executor_module.MIN_BATCH_ENV, raising=False)
-        assert (
-            executor_module.resolve_min_batch()
-            == executor_module.MIN_PARALLEL_BATCH
-        )
-        monkeypatch.setenv(executor_module.MIN_BATCH_ENV, "2")
-        assert executor_module.resolve_min_batch() == 2
-        monkeypatch.setenv(executor_module.MIN_BATCH_ENV, "nope")
-        with pytest.raises(ValueError):
-            executor_module.resolve_min_batch()
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Record every ``ProcessPoolExecutor`` constructed during a test."""
+        constructed = []
+        original_init = ProcessPoolExecutor.__init__
 
-    def test_small_batch_stays_serial(self, montage1, monkeypatch):
+        def recording_init(self, *args, **kwargs):
+            constructed.append((args, kwargs))
+            original_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "__init__", recording_init)
+        return constructed
+
+    def test_small_batch_stays_serial(self, montage1, monkeypatch, pools):
         monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 8)
-        executor = SweepExecutor(workers=4, cache=SimCache())
-        assert executor.workers == 4
-        executor.run([SimJob(montage1, p) for p in (1, 2, 3)])
-        assert not executor.used_process_pool
+        jobs = [SimJob(montage1, p) for p in (1, 2, 3)]
+        monkeypatch.setenv("REPRO_SWEEP_WORKERS", "4")
+        assert executor_module.resolve_workers() == 4
+        four = SweepExecutor(cache=SimCache()).run(jobs)
+        monkeypatch.setenv("REPRO_SWEEP_WORKERS", "1")
+        one = SweepExecutor(cache=SimCache()).run(jobs)
+        assert pools == []
+        assert four == one
 
-    def test_single_worker_stays_serial(self, montage1):
-        executor = SweepExecutor(workers=1, cache=SimCache())
-        executor.run([SimJob(montage1, p) for p in (1, 2, 3, 4, 5)])
-        assert not executor.used_process_pool
-
-    @pytest.mark.slow
-    def test_large_batch_uses_pool_and_matches_serial(
-        self, montage1, monkeypatch
-    ):
-        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 8)
-        jobs = [SimJob(montage1, p) for p in (1, 2, 4, 8)]
-        serial = SweepExecutor(workers=1, cache=SimCache()).run(jobs)
-        pooled_executor = SweepExecutor(workers=2, cache=SimCache())
-        pooled = pooled_executor.run(jobs)
-        assert pooled_executor.used_process_pool
-        assert pooled == serial
+    def test_single_worker_stays_serial(self, montage1, monkeypatch, pools):
+        monkeypatch.setenv("REPRO_SWEEP_WORKERS", "1")
+        jobs = [SimJob(montage1, p) for p in (1, 2, 3, 4, 5)]
+        plain = SweepExecutor(cache=SimCache()).run(jobs)
+        audited = SweepExecutor(cache=SimCache(), audit=True).run(jobs)
+        assert pools == []
+        assert [r.makespan for r in audited] == [r.makespan for r in plain]
 
 
 class TestBatchGrouping:
@@ -325,7 +321,7 @@ class TestBatchGrouping:
             SimJob(montage1, 4, "cleanup", storage_capacity_bytes=5e9),
         ]
         expected = [job.run() for job in jobs]
-        got = SweepExecutor(workers=1, cache=SimCache()).run(jobs)
+        got = SweepExecutor(cache=SimCache()).run(jobs)
         assert got == expected
 
     def test_grouped_results_keep_submission_order(self, montage1):
@@ -337,7 +333,7 @@ class TestBatchGrouping:
             SimJob(wf2, 2),
             SimJob(montage1, 4),
         ]
-        results = SweepExecutor(workers=1, cache=SimCache()).run(jobs)
+        results = SweepExecutor(cache=SimCache()).run(jobs)
         assert [(r.workflow_name, r.n_processors) for r in results] == [
             (j.workflow.name, j.n_processors) for j in jobs
         ]
@@ -345,7 +341,7 @@ class TestBatchGrouping:
     def test_batched_jobs_still_cached_per_fingerprint(self, montage1):
         cache = SimCache()
         jobs = [SimJob(montage1, p, "cleanup") for p in (1, 2, 4, 8)]
-        executor = SweepExecutor(workers=1, cache=cache)
+        executor = SweepExecutor(cache=cache)
         first = executor.run(jobs)
         assert len(cache) == len(jobs)
         assert cache.misses == len(jobs)
@@ -379,7 +375,7 @@ class TestBatchGrouping:
         from repro.sweep.executor import _batchable
 
         assert all(_batchable(job) for job in jobs)
-        batched = SweepExecutor(workers=1, cache=SimCache()).run(jobs)
+        batched = SweepExecutor(cache=SimCache()).run(jobs)
         event = [
             SimJob(montage1, p, failures=spec, kernel="event").run()
             for p in (2, 8)
@@ -402,7 +398,7 @@ class TestBatchGrouping:
     def test_audited_jobs_not_grouped(self, montage1):
         # Audit pins the event engine per job; grouping must not change
         # that (audited_jobs counts individual executions).
-        executor = SweepExecutor(workers=1, cache=SimCache(), audit=True)
+        executor = SweepExecutor(cache=SimCache(), audit=True)
         jobs = [SimJob(montage1, p) for p in (2, 4)]
         results = executor.run(jobs)
         assert executor.audited_jobs == 2
@@ -413,10 +409,10 @@ class TestKernelDispatch:
     def test_sweep_default_kernel_matches_event(self, montage1):
         # auto-mode sweeps take the fast kernel for eligible jobs; the
         # results must be indistinguishable from event-engine sweeps.
-        auto = SweepExecutor(workers=1, cache=SimCache()).run(
+        auto = SweepExecutor(cache=SimCache()).run(
             [SimJob(montage1, p, "cleanup") for p in (2, 8)]
         )
-        event = SweepExecutor(workers=1, cache=SimCache()).run(
+        event = SweepExecutor(cache=SimCache()).run(
             [SimJob(montage1, p, "cleanup", kernel="event") for p in (2, 8)]
         )
         assert auto == event
@@ -424,7 +420,7 @@ class TestKernelDispatch:
     def test_audited_sweep_pins_event_engine(self, montage1):
         # kernel="fast" jobs under audit are re-run on the event engine
         # (the oracle's subject), traced, and still reconcile.
-        executor = SweepExecutor(workers=1, cache=SimCache(), audit=True)
+        executor = SweepExecutor(cache=SimCache(), audit=True)
         results = executor.run([SimJob(montage1, 4, kernel="fast")])
         assert executor.audited_jobs == 1
         reference = SimJob(

@@ -109,74 +109,11 @@ class TestGanttAndReport:
         assert "Reproduction report" in out
 
 
-class TestBench:
-    BASE = ["bench", "--degree", "0.3", "--processors", "2",
-            "--seeds", "2", "--repeats", "1"]
-
-    def test_bench_table(self, capsys):
-        import re
-
-        assert main(self.BASE) == 0
-        out = capsys.readouterr().out
-        rows = dict(
-            re.split(r"\s{2,}", line.strip(), maxsplit=1)
-            for line in out.splitlines()[2:]
-            if line.strip()
-        )
-        assert list(rows) == [
-            "workflow", "processors", "grid cells", "best pass", "cells/s",
-        ]
-        assert rows["workflow"] == "montage-0.3deg"
-        assert rows["processors"] == "2"
-        assert rows["grid cells"] == "6"  # 3 probabilities x 2 seeds
-        assert rows["best pass"].endswith(" ms")
-
-    def test_bench_profile_written(self, capsys, tmp_path):
-        path = tmp_path / "profile.txt"
-        assert main([*self.BASE, "--profile", "--output", str(path)]) == 0
-        assert f"profile written: {path}" in capsys.readouterr().out
-        assert "run_monte_carlo" in path.read_text(encoding="utf-8")
-
-    def test_bench_compare_notes_one_sided_sections(self, capsys, tmp_path):
-        import json
-        from pathlib import Path
-
-        committed = (
-            Path(__file__).resolve().parents[1]
-            / "benchmarks" / "BENCH_kernel.json"
-        )
-        new = json.loads(committed.read_text(encoding="utf-8"))
-        # An artifact from before the compiled-core sections were
-        # dropped: same timings, plus three sections NEW lacks.
-        old = dict(new)
-        for section in ("jit", "contention", "capacity"):
-            assert section not in new
-            old[section] = {
-                "requested": "auto",
-                "available": False,
-                "reason": "backend unavailable",
-            }
-        old_path = tmp_path / "old.json"
-        old_path.write_text(json.dumps(old), encoding="utf-8")
-        assert main(["bench", "--compare", str(old_path), str(committed)]) == 0
-        out = capsys.readouterr().out
-        for section in ("capacity", "contention", "jit"):
-            assert f"note: section {section!r} present only in OLD" in out
-        assert "present only in NEW" not in out
-        assert "per_run.speedup_best" in out
-        assert "1.00x" in out
-
-    def test_bench_compare_unreadable_artifact(self, capsys, tmp_path):
-        missing = str(tmp_path / "missing.json")
-        assert main(["bench", "--compare", missing, missing]) == 1
-        assert "cannot compare bench artifacts" in capsys.readouterr().out
-
-    def test_removed_jit_flag_is_rejected(self):
-        with pytest.raises(SystemExit):
-            main([*self.BASE, "--jit", "off"])
-
-
 class TestErrors:
+    def test_removed_bench_command_is_rejected(self):
+        with pytest.raises(SystemExit):
+            main(["bench", "--degree", "0.3"])
+
     def test_missing_command(self):
         with pytest.raises(SystemExit):
             main([])
