@@ -50,7 +50,6 @@ from repro.sim.kernel import (
     SUMMARY_DTYPE,
     KernelConfig,
     MonteCarloCell,
-    kernel_eligible,
     resolve_kernel,
     run_fast_kernel,
     run_fast_kernel_batch,
@@ -59,15 +58,6 @@ from repro.sim.kernel import (
 )
 from repro.sim.results import SimulationResult, TaskRecord, TransferRecord
 
-
-def __getattr__(name: str):
-    # Deprecated alias: forwarded lazily so importing it (and only
-    # importing it) emits the kernel module's DeprecationWarning.
-    if name == "KernelIneligibleError":
-        from repro.sim import kernel
-
-        return kernel.__getattr__("KernelIneligibleError")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "SimulationEngine",
@@ -91,9 +81,7 @@ __all__ = [
     "KERNEL_ENV",
     "SUMMARY_DTYPE",
     "KernelConfig",
-    "KernelIneligibleError",
     "MonteCarloCell",
-    "kernel_eligible",
     "resolve_kernel",
     "run_fast_kernel",
     "run_fast_kernel_batch",

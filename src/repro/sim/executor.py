@@ -15,6 +15,7 @@ harness, the examples and most tests.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from itertools import count
 
@@ -103,14 +104,13 @@ class ExecutionEnvironment:
             raise ValueError(
                 f"capacity must be positive or None, got {capacity}"
             )
-        if self.compute_ready_seconds < 0:
-            raise ValueError(
-                f"negative compute_ready_seconds {self.compute_ready_seconds}"
-            )
-        if self.task_overhead_seconds < 0:
-            raise ValueError(
-                f"negative task_overhead_seconds {self.task_overhead_seconds}"
-            )
+        # The chained test rejects NaN and +inf as well as negatives: an
+        # infinite overhead or boot time deadlocks the fast kernel while
+        # the event engine returns an infinite makespan.
+        for name in ("task_overhead_seconds", "compute_ready_seconds"):
+            x = getattr(self, name)
+            if not 0 <= x < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {x}")
 
 
 # Task lifecycle states.

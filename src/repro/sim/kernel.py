@@ -28,31 +28,35 @@ tuples that replicates the engine's scheduling discipline *exactly*:
   byte-seconds integral, the peak and the curves themselves are
   bit-identical (StepCurve coalescing of same-time deltas is
   order-sensitive under float arithmetic);
-* a ready task finding a free processor and an empty ready queue is
-  dispatched without touching the queue at all — observationally
-  identical to the engine's push-then-pop, and the common case on the
-  wide phases of Montage-like workflows.
+* with infinite storage, a ready task finding a free processor and an
+  empty ready queue is dispatched without touching the queue at all —
+  observationally identical to the engine's push-then-pop, and the
+  common case on the wide phases of Montage-like workflows.
 
-Three entry points share the lowering, and three replay loops serve
-them — one per resource model, each written out once:
+Two replay loops serve every entry point, chosen by one rule
+(:func:`_turbo_eligible`, applied in :func:`_run_routed`):
+
+* the "turbo" loop, :func:`_run_turbo_core`, takes traceless runs on an
+  uncontended link with infinite storage in regular or cleanup mode.
+  It merges the statically known stage-in arrival stream with a small
+  completion heap and integrates the storage curve incrementally
+  instead of materializing it;
+* the general loop, :func:`_run_single`, takes everything else: traced
+  runs, contended (FIFO) links modelled inline by tracking each lane's
+  ``busy_until``, remote I/O and finite storage.  A finite capacity
+  adds the engine's reservation / admission-control cascade
+  (head-of-line dispatch reservations, gated stage-in pumping with
+  output headroom, space-freed retry order), mirrored statement for
+  statement.
+
+Three entry points share the lowering and the routing:
 
 * :func:`run_fast_kernel` — one configuration, any data mode, traced or
-  not.  Finite storage capacities take :func:`_run_capacity`, which
-  mirrors the engine's reservation / admission-control cascade
-  (head-of-line dispatch reservations, gated stage-in pumping with
-  output headroom, space-freed retry order) statement for statement.
-  Traceless runs on an uncontended link in regular or cleanup mode take
-  the "turbo" loop, :func:`_run_turbo_core`, which merges the
-  statically known stage-in arrival stream with a small completion heap
-  and integrates the storage curve incrementally instead of
-  materializing it.  Everything else — traced runs, contended (FIFO)
-  links modelled inline by tracking each lane's ``busy_until``, and
-  remote I/O — takes :func:`_run_single`.
-* :func:`run_fast_kernel_batch` — many configurations over one DAG,
-  routed by the same rule (:func:`_turbo_eligible`).  The lowering,
-  per-bandwidth transfer durations, per-overhead execution durations
-  and the sorted stage-in arrival schedule are cached on the lowering,
-  so a batch computes each of them once.
+  not.
+* :func:`run_fast_kernel_batch` — many configurations over one DAG.
+  The lowering, per-bandwidth transfer durations, per-overhead
+  execution durations and the sorted stage-in arrival schedule are
+  cached on the lowering, so a batch computes each of them once.
 * :func:`run_monte_carlo` — one configuration replayed over a whole
   (probability, seed) grid of failure injections.  Per-seed uniform
   draws are pre-drawn with vectorized numpy generators and shared
@@ -85,14 +89,13 @@ a fraction of the interpreter work per event.
 
 :func:`repro.sim.simulate` dispatches here automatically under
 ``kernel="auto"`` (the default, overridable via the ``REPRO_SIM_KERNEL``
-environment variable); every resource model is eligible, so only audited
-runs pin the event engine.
+environment variable); the kernel handles every resource model, so only
+audited runs pin the event engine.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Sequence
@@ -115,9 +118,7 @@ __all__ = [
     "KERNELS",
     "SUMMARY_DTYPE",
     "KernelConfig",
-    "KernelIneligibleError",
     "MonteCarloCell",
-    "kernel_eligible",
     "resolve_kernel",
     "run_fast_kernel",
     "run_fast_kernel_batch",
@@ -132,30 +133,6 @@ KERNEL_ENV = "REPRO_SIM_KERNEL"
 KERNELS = ("auto", "event", "fast")
 
 
-class _KernelIneligibleError(ValueError):
-    """``kernel="fast"`` requested for a configuration it cannot handle.
-
-    Deprecated: since the kernel learned to replay failure injection, no
-    built-in configuration raises it, and the last demotion branches that
-    could have were deleted.  Access the name via the module attribute
-    ``KernelIneligibleError`` (which emits a :class:`DeprecationWarning`)
-    only to keep old ``except`` clauses importable.
-    """
-
-
-def __getattr__(name: str):
-    if name == "KernelIneligibleError":
-        warnings.warn(
-            "KernelIneligibleError is deprecated: every configuration is "
-            "kernel-eligible, so nothing raises it any more; drop the "
-            "except clause (or catch ValueError)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _KernelIneligibleError
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def resolve_kernel(kernel: str | None = None) -> str:
     """Effective kernel name: explicit argument, else env var, else auto."""
     if kernel is None:
@@ -165,19 +142,6 @@ def resolve_kernel(kernel: str | None = None) -> str:
             f"unknown simulation kernel {kernel!r}; expected one of {KERNELS}"
         )
     return kernel
-
-
-def kernel_eligible(environment=None, failures=None) -> bool:
-    """Can the fast kernel reproduce this configuration exactly?
-
-    Unconditionally yes: every
-    :class:`~repro.sim.executor.ExecutionEnvironment` — contended (FIFO)
-    links and finite storage capacities included — and failure injection
-    (the seeded retry stream is consumed at the same completion-event
-    points as the engine's) are all in scope.  Both parameters are kept
-    for call-site symmetry and future resource models.
-    """
-    return True
 
 
 # ------------------------------------------------------------------ #
@@ -217,9 +181,9 @@ def summary_batch(n_cells: int) -> np.ndarray:
     return np.zeros(n_cells, dtype=SUMMARY_DTYPE)
 
 
-def _store_result(out: np.ndarray, i: int, r: SimulationResult) -> None:
-    """Copy a result's scalar metrics into row ``i`` (object dropped)."""
-    out[i] = (
+def _summary_row(r: SimulationResult) -> tuple:
+    """A result's scalar metrics as one :data:`SUMMARY_DTYPE` row."""
+    return (
         r.makespan,
         r.bytes_in,
         r.bytes_out,
@@ -515,10 +479,8 @@ def run_fast_kernel(
     draw stream consumed at the same completion-event points as the
     event engine's, so retry schedules, re-billing and
     :class:`~repro.sim.failures.WorkflowAbortedError` raises (which
-    propagate out of this call) are bit-identical.  Routing follows
-    :func:`run_fast_kernel_batch`: finite storage takes the capacity
-    loop, :func:`_turbo_eligible` runs the turbo loop, the rest the
-    single-run loop.
+    propagate out of this call) are bit-identical.  The loop is chosen
+    by :func:`_run_routed`, like every entry point's.
     """
     if isinstance(data_mode, str):
         data_mode = DataMode(data_mode)
@@ -532,17 +494,7 @@ def run_fast_kernel(
     exec_dur = (
         environment.task_overhead_seconds + low.runtimes_arr
     ).tolist()
-    if environment.storage_capacity_bytes is not None:
-        return _run_capacity(
-            workflow, low, environment, data_mode, ordering, tr_dur,
-            exec_dur, fail,
-        )
-    if _turbo_eligible(low, environment, data_mode):
-        return _run_turbo(
-            workflow, low, environment, data_mode, ordering, tr_dur,
-            exec_dur, fail,
-        )
-    return _run_single(
+    return _run_routed(
         workflow, low, environment, data_mode, ordering, tr_dur, exec_dur,
         fail,
     )
@@ -564,6 +516,43 @@ def _turbo_eligible(low: _Lowering, environment, data_mode: DataMode) -> bool:
     )
 
 
+def _run_routed(
+    workflow: Workflow,
+    low: _Lowering,
+    environment,
+    data_mode: DataMode,
+    ordering: TaskOrdering,
+    tr_dur: list[float],
+    exec_dur: list[float],
+    fail=None,
+    *,
+    row: bool = False,
+    snapshots: list | None = None,
+) -> SimulationResult | tuple:
+    """Replay one run on the loop :func:`_turbo_eligible` picks.
+
+    The single place the fast kernel chooses between its two loops:
+    the turbo loop when eligible, else the general loop,
+    :func:`_run_single`.  Returns a :class:`SimulationResult`, or with
+    ``row`` the run's :data:`SUMMARY_DTYPE` row as a tuple — a turbo
+    run then never builds a result object.  ``snapshots`` reaches the
+    turbo loop only (the Monte Carlo baseline's fork checkpoints).
+    """
+    if _turbo_eligible(low, environment, data_mode):
+        tup = _run_turbo_core(
+            workflow, low, environment, data_mode, ordering, tr_dur,
+            exec_dur, fail, snapshots=snapshots,
+        )
+        if row:
+            return tup + (False,)
+        return _result_from_turbo_tuple(workflow, environment, data_mode, tup)
+    result = _run_single(
+        workflow, low, environment, data_mode, ordering, tr_dur, exec_dur,
+        fail,
+    )
+    return _summary_row(result) if row else result
+
+
 def run_fast_kernel_batch(
     workflow: Workflow,
     configs: Sequence[KernelConfig],
@@ -578,10 +567,10 @@ def run_fast_kernel_batch(
     durations per bandwidth, execution durations per overhead, the
     sorted stage-in arrival schedule — are shared across every
     configuration that uses them, so a 128-point processor ladder pays
-    for its array building exactly once.  Traceless shared-storage
-    configurations additionally run on a specialized merged-stream loop
-    (:func:`_run_turbo`) that skips the event heap for stage-in arrivals
-    and integrates the storage curve incrementally.
+    for its array building exactly once.  Each configuration takes the
+    loop :func:`_run_routed` picks, so traceless shared-storage
+    configurations run on the turbo loop, which skips the event heap for
+    stage-in arrivals and integrates the storage curve incrementally.
 
     Results are bit-identical to per-run :func:`run_fast_kernel` calls
     (and therefore to the event engine), in input order.  A config whose
@@ -612,34 +601,15 @@ def run_fast_kernel_batch(
             )
         if columnar and env.record_trace:
             env = replace(env, record_trace=False)
-        fail = _failure_hook(low, cfg.failures)
-        tr_dur = low.transfer_durations(env.bandwidth_bytes_per_sec)
-        exec_dur = low.exec_durations(env.task_overhead_seconds)
-        turbo = _turbo_eligible(low, env, mode)
-        if columnar and turbo:
-            # Hot path: scalars go straight into the record batch.
-            out[out_offset + i] = _run_turbo_core(
-                workflow, low, env, mode, cfg.ordering, tr_dur, exec_dur,
-                fail,
-            ) + (False,)
-            continue
-        if env.storage_capacity_bytes is not None:
-            result = _run_capacity(
-                workflow, low, env, mode, cfg.ordering, tr_dur, exec_dur,
-                fail,
-            )
-        elif turbo:
-            result = _run_turbo(
-                workflow, low, env, mode, cfg.ordering, tr_dur, exec_dur,
-                fail,
-            )
-        else:
-            result = _run_single(
-                workflow, low, env, mode, cfg.ordering, tr_dur, exec_dur,
-                fail,
-            )
+        result = _run_routed(
+            workflow, low, env, mode, cfg.ordering,
+            low.transfer_durations(env.bandwidth_bytes_per_sec),
+            low.exec_durations(env.task_overhead_seconds),
+            _failure_hook(low, cfg.failures),
+            row=columnar,
+        )
         if columnar:
-            _store_result(out, out_offset + i, result)
+            out[out_offset + i] = result
         else:
             results.append(result)
     if columnar:
@@ -671,7 +641,7 @@ def _replay(deltas: list) -> StepCurve:
 
 
 # ------------------------------------------------------------------ #
-# single-run loop (infinite storage; dedicated or contended link)
+# general loop (any storage, link or data mode; traced or not)
 # ------------------------------------------------------------------ #
 def _run_single(
     workflow: Workflow,
@@ -683,9 +653,27 @@ def _run_single(
     exec_dur: list[float],
     fail=None,
 ) -> SimulationResult:
+    """Every run the turbo loop does not take, the engine mirrored.
+
+    Traced runs, contended (FIFO) links, remote I/O and finite storage
+    all replay here.  A finite ``storage_capacity_bytes`` (``limited``)
+    adds the engine's admission cascade: ``Storage``'s reservation
+    accounting (``fits`` compares ``(stored + reserved) + n`` against
+    ``capacity + 1e-6`` with stored summed in object insertion order),
+    the head-of-line dispatch reservation (peek, reserve, break without
+    popping on failure), the gated stage-in pump with its output-headroom
+    admission rule, and the space-freed notification order — the
+    executor's dispatcher first, then the shared-storage pump.  With
+    infinite storage the engine subscribes nothing to freed space and
+    its pump admits every stage-in at t=0, so those steps drop out.
+    Like the engine, the loop runs its heap dry; a run left unfinished
+    raises the engine's ``result()`` error, capacity hint included when
+    ``limited``.
+    """
     remote = data_mode is DataMode.REMOTE_IO
     cleanup = data_mode is DataMode.CLEANUP
     trace = environment.record_trace
+    limited = environment.storage_capacity_bytes is not None
 
     n_tasks = low.n_tasks
     task_ids = low.task_ids
@@ -715,6 +703,21 @@ def _run_single(
     contended = environment.link_contention
     lanes = [0.0, 0.0]
     OUT = 1 if environment.separate_links else 0
+
+    if limited:
+        # Same float folds as the engine's `sum(size for f in ...)` calls.
+        if remote:
+            res_bytes = [
+                sum(sizes[f] for f in task_inputs[t] + task_outputs[t])
+                for t in range(n_tasks)
+            ]
+            headroom = 0.0
+        else:
+            res_bytes = [
+                sum(sizes[f] for f in task_outputs[t]) for t in range(n_tasks)
+            ]
+            headroom = max(res_bytes, default=0.0)
+        cap_eps = environment.storage_capacity_bytes + 1e-6
 
     # ---------------------------------------------------------------- #
     # mutable run state
@@ -747,7 +750,12 @@ def _run_single(
     pending = list(n_inputs)  # files still missing per task
     copies_pending = [0] * n_tasks  # remote: input copies still in flight
     refcount = [0] * low.n_files  # remote: current holders per file
+    done_flag = bytearray(n_tasks)
     store: dict[int, float] = {}  # storage objects, insertion-ordered
+    reserved = 0.0
+    pumping = False
+    sin_head = 0  # next stage-in of input_fidx the pump submits
+    n_sin = len(input_fidx)
     # Occupancy deltas in exact engine order, replayed through StepCurve
     # after the loop (same-time coalescing is order-sensitive).
     storage_deltas: list = []
@@ -756,9 +764,65 @@ def _run_single(
     task_records: list[TaskRecord] = []
     transfer_records: list[TransferRecord] = []
 
+    # -- storage (exact ops of resources.Storage) ---------------------- #
+    def fits(n: float) -> bool:
+        return (sum(store.values()) + reserved) + n <= cap_eps
+
+    def reserve(n: float) -> bool:
+        nonlocal reserved
+        if not fits(n):
+            return False
+        reserved += n
+        return True
+
+    def release_reservation(n: float) -> None:
+        nonlocal reserved
+        reserved = max(0.0, reserved - n)
+        space_freed()
+
+    def space_freed() -> None:
+        # Subscriber order: the executor's dispatcher subscribes at
+        # construction, the shared-storage pump at on_start.
+        dispatch()
+        if not remote:
+            pump()
+
+    def materialize(f: int) -> None:
+        # add first, release the reservation after (committed bytes
+        # never transiently undercount)
+        store[f] = sizes[f]
+        storage_deltas.append((now, sizes[f]))
+        if limited:
+            release_reservation(sizes[f])
+
+    def remove_obj(f: int) -> None:
+        storage_deltas.append((now, -store.pop(f)))
+        if limited:
+            space_freed()
+
+    # -- link (exact ops of NetworkLink.request) ---------------------- #
+    def link_end(f: int, lane: int) -> tuple[float, float]:
+        if contended:
+            b = lanes[lane]
+            start = b if b > now else now
+            end = start + tr_dur[f]
+            lanes[lane] = end
+            return start, end
+        return now, now + tr_dur[f]
+
+    # -- executor mirror ---------------------------------------------- #
+    def execute(t: int) -> None:
+        """_execute: compute accrues at dispatch, in dispatch order."""
+        nonlocal seq, n_exec, compute_seconds
+        n_exec += 1
+        compute_seconds += runtimes[t]
+        started_at[t] = now
+        heappush(heap, (now + exec_dur[t], seq, _DONE, t, 0))
+        seq += 1
+
     def start_task(t: int) -> None:
         """One processor is held for ``t``; pull copies or execute."""
-        nonlocal seq, n_exec, compute_seconds, bytes_in, n_in, outstanding
+        nonlocal seq, bytes_in, n_in, outstanding
         acquired_at[t] = now
         if busy_deltas is not None:
             busy_deltas.append((now, 1.0))
@@ -768,14 +832,7 @@ def _run_single(
             for f in task_inputs[t]:
                 bytes_in += sizes[f]
                 n_in += 1
-                if contended:
-                    b = lanes[0]
-                    start = b if b > now else now
-                    end = start + tr_dur[f]
-                    lanes[0] = end
-                else:
-                    start = now
-                    end = now + tr_dur[f]
+                start, end = link_end(f, 0)
                 if trace:
                     transfer_records.append(
                         TransferRecord(
@@ -786,17 +843,11 @@ def _run_single(
                 seq += 1
                 outstanding += 1
         else:
-            # _execute: compute accrues at dispatch, in dispatch order.
-            n_exec += 1
-            compute_seconds += runtimes[t]
-            started_at[t] = now
-            heappush(heap, (now + exec_dur[t], seq, _DONE, t, 0))
-            seq += 1
+            execute(t)
 
     def dispatch() -> None:
-        """Mirror of WorkflowExecutor._dispatch for infinite storage."""
+        """Mirror of WorkflowExecutor._dispatch."""
         nonlocal seq, free, boot_scheduled, booting, ready_head
-        nonlocal n_exec, compute_seconds
         if booting:
             if now < ready_at:
                 if not boot_scheduled and ready_head < len(ready):
@@ -805,58 +856,89 @@ def _run_single(
                     seq += 1
                 return
             booting = False
-        fast_exec = not remote and busy_deltas is None
         while free and ready_head < len(ready):
+            # Head-of-line admission: a finite capacity reserves the
+            # task's storage before popping; on failure it stays queued
+            # for a space-freed retry.
+            t = ready[ready_head] if fifo else ready[0][2]
+            if limited and not reserve(res_bytes[t]):
+                break
             if fifo:
-                t = ready[ready_head]
                 ready_head += 1
                 if ready_head > 64 and ready_head * 2 > len(ready):
                     del ready[:ready_head]
                     ready_head = 0
             else:
-                t = heappop(ready)[2]
+                heappop(ready)
             free -= 1
-            if fast_exec:
-                acquired_at[t] = now
-                n_exec += 1
-                compute_seconds += runtimes[t]
-                started_at[t] = now
-                heappush(heap, (now + exec_dur[t], seq, _DONE, t, 0))
-                seq += 1
-            else:
-                start_task(t)
+            start_task(t)
 
     def ready_task(t: int) -> None:
         """Mirror of task_data_ready: queue, then try to dispatch.
 
-        When a processor is free and the queue is empty the engine's
-        push-then-pop provably hands the processor to ``t``; shortcut
-        the queue entirely in that case (with the common shared-storage
-        execute inlined — this is the hot path on wide DAG phases).
+        With infinite storage, a free processor and an empty queue, the
+        engine's push-then-pop provably hands the processor to ``t``;
+        shortcut the queue entirely in that case (the hot path on wide
+        DAG phases).
         """
-        nonlocal rseq, free, seq, n_exec, compute_seconds
-        if free and ready_head == len(ready) and not booting:
+        nonlocal rseq, free
+        if not limited and free and ready_head == len(ready) and not booting:
             free -= 1
-            if remote or busy_deltas is not None:
-                start_task(t)
-            else:
-                acquired_at[t] = now
-                n_exec += 1
-                compute_seconds += runtimes[t]
-                started_at[t] = now
-                heappush(heap, (now + exec_dur[t], seq, _DONE, t, 0))
-                seq += 1
+            start_task(t)
             return
         if fifo:
             ready.append(t)
         else:
             heappush(ready, (okey(workflow, task_ids[t]), rseq, t))
         rseq += 1
-        if free:
-            # free == 0 makes dispatch a provable no-op (and free stays
-            # at n_processors throughout boot, so the boot-wakeup branch
-            # is still reachable through here).
-            dispatch()
+        dispatch()
+
+    def pump() -> None:
+        """_pump_stage_ins: FIFO head-of-line, output headroom reserved."""
+        nonlocal pumping, sin_head, bytes_in, n_in, seq, outstanding
+        if pumping:
+            return
+        pumping = True
+        try:
+            while sin_head < n_sin:
+                f = input_fidx[sin_head]
+                size = sizes[f]
+                if limited:
+                    # Leave output headroom — except when the store is
+                    # completely empty, where holding back cannot help.
+                    admissible = fits(size + headroom) or (
+                        (sum(store.values()) + reserved) == 0.0
+                    )
+                    if not (admissible and reserve(size)):
+                        break
+                sin_head += 1
+                bytes_in += size
+                n_in += 1
+                start, end = link_end(f, 0)
+                if trace:
+                    transfer_records.append(
+                        TransferRecord(fnames[f], size, "in", start, end, None)
+                    )
+                heappush(heap, (end, seq, _SIN, f, 0))
+                seq += 1
+                outstanding += 1
+        finally:
+            pumping = False
+
+    def retain(f: int) -> None:
+        """Remote-I/O _retain(reserved=limited): refcounted single copy."""
+        count = refcount[f]
+        if not count:
+            store[f] = sizes[f]
+            storage_deltas.append((now, sizes[f]))
+        if limited:
+            release_reservation(sizes[f])
+        refcount[f] = count + 1
+
+    def release_file(f: int) -> None:
+        refcount[f] -= 1
+        if not refcount[f]:
+            remove_obj(f)
 
     def mark_user_available(f: int) -> None:
         """Remote-I/O: a file landed at the user; wake its consumers."""
@@ -864,6 +946,13 @@ def _run_single(
             pending[c] -= 1
             if not pending[c]:
                 ready_task(c)
+
+    def finalize_shared() -> None:
+        """_finalize: remaining objects go in insertion order."""
+        nonlocal finished_at
+        for f in list(store):
+            remove_obj(f)
+        finished_at = now
 
     # ---------------------------------------------------------------- #
     # t = 0: the engine's _begin / data_manager.on_start
@@ -880,25 +969,7 @@ def _run_single(
         for t in range(n_tasks):
             if not n_inputs[t]:
                 ready_task(t)
-        # Infinite capacity: every stage-in is submitted immediately,
-        # arriving after size / bandwidth (serialized when contended).
-        for f in input_fidx:
-            bytes_in += sizes[f]
-            n_in += 1
-            if contended:
-                b = lanes[0]
-                start = b if b > now else now
-                end = start + tr_dur[f]
-                lanes[0] = end
-            else:
-                start = now
-                end = now + tr_dur[f]
-            if trace:
-                transfer_records.append(
-                    TransferRecord(fnames[f], sizes[f], "in", start, end, None)
-                )
-            heappush(heap, (end, seq, _SIN, f, 0))
-            seq += 1
+        pump()
 
     # ---------------------------------------------------------------- #
     # the event loop
@@ -926,15 +997,13 @@ def _run_single(
             if failed:
                 # Immediate retry on the same still-held processor: the
                 # engine's _execute re-entered from completed() — compute
-                # re-billed, completion re-scheduled, no dispatch.
+                # re-billed, completion re-scheduled, no reservation and
+                # no dispatch.
                 n_failures += 1
                 attempts[t] = attempt + 1
-                n_exec += 1
-                compute_seconds += runtimes[t]
-                started_at[t] = now
-                heappush(heap, (now + exec_dur[t], seq, _DONE, t, 0))
-                seq += 1
+                execute(t)
                 continue
+            done_flag[t] = 1
             n_done += 1
             held_seconds += now - acquired_at[t]
             free += 1
@@ -942,25 +1011,12 @@ def _run_single(
                 busy_deltas.append((now, -1.0))
             if remote:
                 for f in task_inputs[t]:
-                    refcount[f] -= 1
-                    if not refcount[f]:
-                        del store[f]
-                        storage_deltas.append((now, -sizes[f]))
+                    release_file(f)
                 for f in task_outputs[t]:
-                    if not refcount[f]:
-                        store[f] = sizes[f]
-                        storage_deltas.append((now, sizes[f]))
-                    refcount[f] += 1
+                    retain(f)
                     bytes_out += sizes[f]
                     n_out += 1
-                    if contended:
-                        bl = lanes[OUT]
-                        start = bl if bl > now else now
-                        end = start + tr_dur[f]
-                        lanes[OUT] = end
-                    else:
-                        start = now
-                        end = now + tr_dur[f]
+                    start, end = link_end(f, OUT)
                     if trace:
                         transfer_records.append(
                             TransferRecord(
@@ -973,17 +1029,14 @@ def _run_single(
                     outstanding += 1
                 if n_done == n_tasks and not outstanding:
                     finished_at = now
-                    break
             else:
                 for f in task_outputs[t]:
-                    store[f] = sizes[f]
-                    storage_deltas.append((now, sizes[f]))
+                    materialize(f)
                 if cleanup:
                     for f in release_candidates[t]:
                         release_need[f] -= 1
                         if not release_need[f] and f in store:
-                            del store[f]
-                            storage_deltas.append((now, -sizes[f]))
+                            remove_obj(f)
                 for f in task_outputs[t]:
                     for c in consumers[f]:
                         pending[c] -= 1
@@ -991,40 +1044,28 @@ def _run_single(
                             ready_task(c)
                 if n_done == n_tasks:
                     if not output_fidx:
-                        for f, sz in store.items():
-                            storage_deltas.append((now, -sz))
-                        store.clear()
-                        finished_at = now
-                        break
-                    stage_outs_left = len(output_fidx)
-                    for f in output_fidx:
-                        bytes_out += sizes[f]
-                        n_out += 1
-                        if contended:
-                            bl = lanes[OUT]
-                            start = bl if bl > now else now
-                            end = start + tr_dur[f]
-                            lanes[OUT] = end
-                        else:
-                            start = now
-                            end = now + tr_dur[f]
-                        if trace:
-                            transfer_records.append(
-                                TransferRecord(
-                                    fnames[f], sizes[f], "out", start, end,
-                                    None,
+                        finalize_shared()
+                    else:
+                        stage_outs_left = len(output_fidx)
+                        for f in output_fidx:
+                            bytes_out += sizes[f]
+                            n_out += 1
+                            start, end = link_end(f, OUT)
+                            if trace:
+                                transfer_records.append(
+                                    TransferRecord(
+                                        fnames[f], sizes[f], "out", start,
+                                        end, None,
+                                    )
                                 )
-                            )
-                        heappush(heap, (end, seq, _SOUT, f, 0))
-                        seq += 1
-            if ready_head < len(ready):
-                # Queue empty makes dispatch a no-op here; `booting` is
-                # then cleared lazily by the next queuing ready_task.
-                dispatch()
+                            heappush(heap, (end, seq, _SOUT, f, 0))
+                            seq += 1
+                            outstanding += 1
+            dispatch()
         elif kind == _SIN:
+            outstanding -= 1
             f = a
-            store[f] = sizes[f]
-            storage_deltas.append((now, sizes[f]))
+            materialize(f)
             for c in consumers[f]:
                 pending[c] -= 1
                 if not pending[c]:
@@ -1032,48 +1073,43 @@ def _run_single(
         elif kind == _COPY:
             outstanding -= 1
             t, f = a, b
-            if not refcount[f]:
-                store[f] = sizes[f]
-                storage_deltas.append((now, sizes[f]))
-            refcount[f] += 1
+            retain(f)
             copies_pending[t] -= 1
             if not copies_pending[t]:
-                n_exec += 1
-                compute_seconds += runtimes[t]
-                started_at[t] = now
-                heappush(heap, (now + exec_dur[t], seq, _DONE, t, 0))
-                seq += 1
+                execute(t)
         elif kind == _ROUT:
             outstanding -= 1
             t, f = a, b
-            refcount[f] -= 1
-            if not refcount[f]:
-                del store[f]
-                storage_deltas.append((now, -sizes[f]))
+            release_file(f)
             mark_user_available(f)
-            if n_done == n_tasks and not outstanding:
+            if (
+                finished_at is None
+                and n_done == n_tasks
+                and not outstanding
+            ):
                 finished_at = now
-                break
         elif kind == _SOUT:
+            outstanding -= 1
             f = a
             if cleanup:
-                del store[f]
-                storage_deltas.append((now, -sizes[f]))
+                remove_obj(f)
             stage_outs_left -= 1
             if not stage_outs_left:
-                # _finalize: remaining objects go in insertion order.
-                for g, sz in store.items():
-                    storage_deltas.append((now, -sz))
-                store.clear()
-                finished_at = now
-                break
+                finalize_shared()
         else:  # _BOOT
             dispatch()
 
     if finished_at is None:
+        stuck = [task_ids[t] for t in range(n_tasks) if not done_flag[t]]
+        hint = (
+            " — the storage capacity is too small for the workflow's "
+            "minimum footprint"
+            if limited
+            else ""
+        )
         raise RuntimeError(
-            "simulation deadlocked or unfinished: "
-            f"{n_tasks - n_done} tasks incomplete"
+            f"simulation deadlocked or unfinished: {len(stuck)} tasks "
+            f"incomplete (first few: {stuck[:5]}){hint}"
         )
 
     storage_curve = _replay(storage_deltas)
@@ -1540,26 +1576,6 @@ def _run_turbo_core(
     )
 
 
-def _run_turbo(
-    workflow: Workflow,
-    low: _Lowering,
-    environment,
-    data_mode: DataMode,
-    ordering: TaskOrdering,
-    tr_dur: list[float],
-    exec_dur: list[float],
-    fail=None,
-) -> SimulationResult:
-    """Object-returning wrapper around :func:`_run_turbo_core`."""
-    return _result_from_turbo_tuple(
-        workflow, environment, data_mode,
-        _run_turbo_core(
-            workflow, low, environment, data_mode, ordering, tr_dur,
-            exec_dur, fail,
-        ),
-    )
-
-
 def _result_from_turbo_tuple(
     workflow: Workflow,
     environment,
@@ -1590,458 +1606,6 @@ def _result_from_turbo_tuple(
         transfer_records=[],
         storage_curve=None,
         busy_curve=None,
-    )
-
-
-# ------------------------------------------------------------------ #
-# finite-capacity loop (reservation / admission-control cascade)
-# ------------------------------------------------------------------ #
-def _run_capacity(
-    workflow: Workflow,
-    low: _Lowering,
-    environment,
-    data_mode: DataMode,
-    ordering: TaskOrdering,
-    tr_dur: list[float],
-    exec_dur: list[float],
-    fail=None,
-) -> SimulationResult:
-    """Finite ``storage_capacity_bytes``: the engine's cascade, mirrored.
-
-    Replicates ``Storage``'s reservation accounting (``fits`` compares
-    ``(stored + reserved) + n`` against ``capacity + 1e-6`` with stored
-    summed in object insertion order), the head-of-line dispatch
-    reservation (peek, reserve, break without popping on failure), the
-    gated stage-in pump with its output-headroom admission rule, and the
-    space-freed notification order — the executor's dispatcher first,
-    then the shared-storage pump — so reservation interleavings, storage
-    curves and deadlocks are all bit-identical to the event engine.
-    A deadlocked configuration raises the same ``RuntimeError`` the
-    engine's ``result()`` raises, capacity hint included.
-    """
-    remote = data_mode is DataMode.REMOTE_IO
-    cleanup = data_mode is DataMode.CLEANUP
-    trace = environment.record_trace
-
-    n_tasks = low.n_tasks
-    task_ids = low.task_ids
-    fnames = low.fnames
-    transformations = low.transformations
-    runtimes = low.runtimes
-    sizes = low.sizes
-    task_inputs = low.task_inputs
-    task_outputs = low.task_outputs
-    n_inputs = low.n_inputs
-    consumers = low.consumers
-    input_fidx = low.input_fidx
-    output_fidx = low.output_fidx
-
-    if cleanup:
-        release_candidates, need = low.cleanup_tables()
-        release_need = list(need)
-    else:
-        release_candidates = release_need = None
-
-    fifo = ordering is FIFO_ORDER
-    okey = ordering.key
-
-    contended = environment.link_contention
-    lanes = [0.0, 0.0]
-    OUT = 1 if environment.separate_links else 0
-
-    # Same float folds as the engine's `sum(size for f in ...)` calls.
-    if remote:
-        res_bytes = [
-            sum(sizes[f] for f in task_inputs[t] + task_outputs[t])
-            for t in range(n_tasks)
-        ]
-        headroom = 0.0
-    else:
-        res_bytes = [
-            sum(sizes[f] for f in task_outputs[t]) for t in range(n_tasks)
-        ]
-        headroom = max(res_bytes, default=0.0)
-    cap_eps = environment.storage_capacity_bytes + 1e-6
-
-    now = 0.0
-    seq = 0
-    rseq = 0
-    heap: list = []
-    ready: list = []
-    ready_head = 0
-    free = environment.n_processors
-    ready_at = environment.compute_ready_seconds
-    booting = ready_at > 0.0
-    boot_scheduled = False
-    n_done = 0
-    n_exec = 0
-    n_failures = 0
-    compute_seconds = 0.0
-    held_seconds = 0.0
-    bytes_in = 0.0
-    bytes_out = 0.0
-    n_in = 0
-    n_out = 0
-    outstanding = 0
-    stage_outs_left = 0
-    finished_at: float | None = None
-    acquired_at = [0.0] * n_tasks
-    started_at = [0.0] * n_tasks
-    attempts = [1] * n_tasks if fail is not None else None
-    pending = list(n_inputs)
-    copies_pending = [0] * n_tasks
-    refcount = [0] * low.n_files
-    done_flag = bytearray(n_tasks)
-    store: dict[int, float] = {}
-    reserved = 0.0
-    pumping = False
-    sin_queue: list[int] = []
-    storage_deltas: list = []
-    busy_deltas: list = [] if trace else None
-
-    task_records: list[TaskRecord] = []
-    transfer_records: list[TransferRecord] = []
-
-    # -- Storage admission (exact ops of resources.Storage) ----------- #
-    def fits(n: float) -> bool:
-        return (sum(store.values()) + reserved) + n <= cap_eps
-
-    def reserve(n: float) -> bool:
-        nonlocal reserved
-        if not fits(n):
-            return False
-        reserved += n
-        return True
-
-    def release_reservation(n: float) -> None:
-        nonlocal reserved
-        reserved = max(0.0, reserved - n)
-        space_freed()
-
-    def remove_obj(f: int) -> None:
-        sz = store.pop(f)
-        storage_deltas.append((now, -sz))
-        space_freed()
-
-    def space_freed() -> None:
-        # Subscriber order: the executor's dispatcher subscribes at
-        # construction, the shared-storage pump at on_start.
-        dispatch()
-        if not remote:
-            pump()
-
-    def materialize(f: int) -> None:
-        # add first, release the reservation after (committed bytes
-        # never transiently undercount)
-        store[f] = sizes[f]
-        storage_deltas.append((now, sizes[f]))
-        release_reservation(sizes[f])
-
-    # -- link (exact ops of NetworkLink.request) ---------------------- #
-    def link_end(f: int, lane: int) -> tuple[float, float]:
-        if contended:
-            b = lanes[lane]
-            start = b if b > now else now
-            end = start + tr_dur[f]
-            lanes[lane] = end
-            return start, end
-        return now, now + tr_dur[f]
-
-    # -- executor mirror ---------------------------------------------- #
-    def execute(t: int) -> None:
-        nonlocal seq, n_exec, compute_seconds
-        n_exec += 1
-        compute_seconds += runtimes[t]
-        started_at[t] = now
-        heappush(heap, (now + exec_dur[t], seq, _DONE, t, 0))
-        seq += 1
-
-    def start_task(t: int) -> None:
-        nonlocal seq, bytes_in, n_in, outstanding
-        acquired_at[t] = now
-        if busy_deltas is not None:
-            busy_deltas.append((now, 1.0))
-        if remote and n_inputs[t]:
-            copies_pending[t] = n_inputs[t]
-            for f in task_inputs[t]:
-                bytes_in += sizes[f]
-                n_in += 1
-                start, end = link_end(f, 0)
-                if trace:
-                    transfer_records.append(
-                        TransferRecord(
-                            fnames[f], sizes[f], "in", start, end, task_ids[t]
-                        )
-                    )
-                heappush(heap, (end, seq, _COPY, t, f))
-                seq += 1
-                outstanding += 1
-        else:
-            execute(t)
-
-    def dispatch() -> None:
-        nonlocal seq, free, boot_scheduled, booting, ready_head
-        if booting:
-            if now < ready_at:
-                if not boot_scheduled and ready_head < len(ready):
-                    boot_scheduled = True
-                    heappush(heap, (ready_at, seq, _BOOT, 0, 0))
-                    seq += 1
-                return
-            booting = False
-        while free and ready_head < len(ready):
-            # Head-of-line admission: reserve the task's storage before
-            # popping; on failure it stays queued for a space-freed retry.
-            t = ready[ready_head] if fifo else ready[0][2]
-            if not reserve(res_bytes[t]):
-                break
-            if fifo:
-                ready_head += 1
-                if ready_head > 64 and ready_head * 2 > len(ready):
-                    del ready[:ready_head]
-                    ready_head = 0
-            else:
-                heappop(ready)
-            free -= 1
-            start_task(t)
-
-    def ready_task(t: int) -> None:
-        nonlocal rseq
-        if fifo:
-            ready.append(t)
-        else:
-            heappush(ready, (okey(workflow, task_ids[t]), rseq, t))
-        rseq += 1
-        dispatch()
-
-    def pump() -> None:
-        """_pump_stage_ins: FIFO head-of-line, output headroom reserved."""
-        nonlocal pumping, bytes_in, n_in, seq, outstanding
-        if pumping:
-            return
-        pumping = True
-        try:
-            while sin_queue:
-                f = sin_queue[0]
-                size = sizes[f]
-                # Leave output headroom — except when the store is
-                # completely empty, where holding back cannot help.
-                admissible = fits(size + headroom) or (
-                    (sum(store.values()) + reserved) == 0.0
-                )
-                if not (admissible and reserve(size)):
-                    break
-                sin_queue.pop(0)
-                bytes_in += size
-                n_in += 1
-                start, end = link_end(f, 0)
-                if trace:
-                    transfer_records.append(
-                        TransferRecord(fnames[f], size, "in", start, end, None)
-                    )
-                heappush(heap, (end, seq, _SIN, f, 0))
-                seq += 1
-                outstanding += 1
-        finally:
-            pumping = False
-
-    def retain(f: int) -> None:
-        """Remote-I/O _retain(reserved=True): refcounted single copy."""
-        count = refcount[f]
-        if not count:
-            store[f] = sizes[f]
-            storage_deltas.append((now, sizes[f]))
-        release_reservation(sizes[f])
-        refcount[f] = count + 1
-
-    def release_file(f: int) -> None:
-        refcount[f] -= 1
-        if not refcount[f]:
-            remove_obj(f)
-
-    def mark_user_available(f: int) -> None:
-        for c in consumers[f]:
-            pending[c] -= 1
-            if not pending[c]:
-                ready_task(c)
-
-    def finalize_shared() -> None:
-        nonlocal finished_at
-        for f in list(store.keys()):
-            remove_obj(f)
-        finished_at = now
-
-    # -- t = 0 --------------------------------------------------------- #
-    if not n_tasks:
-        finished_at = 0.0
-    elif remote:
-        for t in range(n_tasks):
-            if not n_inputs[t]:
-                ready_task(t)
-        for f in input_fidx:
-            mark_user_available(f)
-    else:
-        for t in range(n_tasks):
-            if not n_inputs[t]:
-                ready_task(t)
-        sin_queue = list(input_fidx)
-        pump()
-
-    # -- event loop (runs the heap dry: post-finish stage-ins behave
-    #    exactly as the engine's) -------------------------------------- #
-    while heap:
-        now, _, kind, a, b = heappop(heap)
-        if kind == _DONE:
-            t = a
-            if fail is None:
-                attempt = 1
-                failed = False
-            else:
-                # Draw before the record — an exhausted budget raises
-                # with no record for the aborting attempt.
-                attempt = attempts[t]
-                failed = fail(t, attempt)
-            if trace:
-                task_records.append(
-                    TaskRecord(
-                        task_ids[t], transformations[t], started_at[t], now,
-                        attempt,
-                    )
-                )
-            if failed:
-                # Retry immediately on the same still-held processor;
-                # the engine's failed branch returns before _dispatch,
-                # so no reservation or dispatch happens here either.
-                n_failures += 1
-                attempts[t] = attempt + 1
-                execute(t)
-                continue
-            done_flag[t] = 1
-            n_done += 1
-            held_seconds += now - acquired_at[t]
-            free += 1
-            if busy_deltas is not None:
-                busy_deltas.append((now, -1.0))
-            if remote:
-                for f in task_inputs[t]:
-                    release_file(f)
-                for f in task_outputs[t]:
-                    retain(f)
-                    bytes_out += sizes[f]
-                    n_out += 1
-                    start, end = link_end(f, OUT)
-                    if trace:
-                        transfer_records.append(
-                            TransferRecord(
-                                fnames[f], sizes[f], "out", start, end,
-                                task_ids[t],
-                            )
-                        )
-                    heappush(heap, (end, seq, _ROUT, t, f))
-                    seq += 1
-                    outstanding += 1
-                if n_done == n_tasks and not outstanding:
-                    finished_at = now
-            else:
-                for f in task_outputs[t]:
-                    materialize(f)
-                if cleanup:
-                    for f in release_candidates[t]:
-                        release_need[f] -= 1
-                        if not release_need[f] and f in store:
-                            remove_obj(f)
-                for f in task_outputs[t]:
-                    for c in consumers[f]:
-                        pending[c] -= 1
-                        if not pending[c]:
-                            ready_task(c)
-                if n_done == n_tasks:
-                    if not output_fidx:
-                        finalize_shared()
-                    else:
-                        stage_outs_left = len(output_fidx)
-                        for f in output_fidx:
-                            bytes_out += sizes[f]
-                            n_out += 1
-                            start, end = link_end(f, OUT)
-                            if trace:
-                                transfer_records.append(
-                                    TransferRecord(
-                                        fnames[f], sizes[f], "out", start,
-                                        end, None,
-                                    )
-                                )
-                            heappush(heap, (end, seq, _SOUT, f, 0))
-                            seq += 1
-                            outstanding += 1
-            dispatch()
-        elif kind == _SIN:
-            outstanding -= 1
-            f = a
-            materialize(f)
-            for c in consumers[f]:
-                pending[c] -= 1
-                if not pending[c]:
-                    ready_task(c)
-        elif kind == _COPY:
-            outstanding -= 1
-            t, f = a, b
-            retain(f)
-            copies_pending[t] -= 1
-            if not copies_pending[t]:
-                execute(t)
-        elif kind == _ROUT:
-            outstanding -= 1
-            t, f = a, b
-            release_file(f)
-            mark_user_available(f)
-            if (
-                finished_at is None
-                and n_done == n_tasks
-                and not outstanding
-            ):
-                finished_at = now
-        elif kind == _SOUT:
-            outstanding -= 1
-            f = a
-            if cleanup:
-                remove_obj(f)
-            stage_outs_left -= 1
-            if not stage_outs_left:
-                finalize_shared()
-        else:  # _BOOT
-            dispatch()
-
-    if finished_at is None:
-        stuck = [task_ids[t] for t in range(n_tasks) if not done_flag[t]]
-        raise RuntimeError(
-            f"simulation deadlocked or unfinished: {len(stuck)} tasks "
-            f"incomplete (first few: {stuck[:5]}) — the storage capacity "
-            "is too small for the workflow's minimum footprint"
-        )
-
-    storage_curve = _replay(storage_deltas)
-    busy_curve = _replay(busy_deltas) if busy_deltas is not None else None
-
-    return SimulationResult(
-        workflow_name=workflow.name,
-        n_processors=environment.n_processors,
-        data_mode=data_mode.value,
-        makespan=finished_at,
-        bytes_in=bytes_in,
-        bytes_out=bytes_out,
-        storage_byte_seconds=storage_curve.integral(0.0, finished_at),
-        peak_storage_bytes=storage_curve.max_value(),
-        cpu_busy_seconds=held_seconds,
-        compute_seconds=compute_seconds,
-        n_transfers_in=n_in,
-        n_transfers_out=n_out,
-        n_task_executions=n_exec,
-        n_task_failures=n_failures,
-        task_records=task_records,
-        transfer_records=transfer_records,
-        storage_curve=storage_curve if trace else None,
-        busy_curve=busy_curve,
     )
 
 
@@ -2289,14 +1853,6 @@ def run_monte_carlo(
     exec_dur = low.exec_durations(env.task_overhead_seconds)
     task_ids = low.task_ids
     ordering = config.ordering
-    use_capacity = env.storage_capacity_bytes is not None
-    use_turbo = (
-        not use_capacity
-        and not env.record_trace
-        and not env.link_contention
-        and mode is not DataMode.REMOTE_IO
-        and low.n_tasks
-    )
     # Initial buffer sized for the common case (a handful of retries on
     # top of one attempt per task); heavy-failure cells grow it in
     # chunks, and growth is shared by every later cell of that seed.
@@ -2318,8 +1874,6 @@ def run_monte_carlo(
     # prefixes (across seeds and probabilities alike) replay once and
     # share the outcome via pattern_cache.
     n_tasks = low.n_tasks
-    baseline_result: SimulationResult | None = None
-    baseline_row = None
     #: verdict-prefix bytes -> ("ok", row-or-result) | ("abort", message)
     pattern_cache: dict[bytes, tuple] = {}
 
@@ -2327,48 +1881,19 @@ def run_monte_carlo(
     # SNAP_EVERY completions, and each failing cell resumes from the
     # checkpoint just before its first True verdict instead of
     # re-simulating the shared prefix.
-    use_fork = bool(use_turbo) and ordering is FIFO_ORDER
+    use_fork = _turbo_eligible(low, env, mode) and ordering is FIFO_ORDER
     snapshots: list | None = [] if use_fork else None
-    baseline_tuple = None
+    baseline = None
 
-    def turbo_baseline() -> tuple:
-        nonlocal baseline_tuple
-        if baseline_tuple is None:
-            baseline_tuple = _run_turbo_core(
+    def no_failure():
+        """The failure-free run: a row when columnar, else a result."""
+        nonlocal baseline
+        if baseline is None:
+            baseline = _run_routed(
                 workflow, low, env, mode, ordering, tr_dur, exec_dur, None,
-                snapshots=snapshots,
+                row=columnar, snapshots=snapshots,
             )
-        return baseline_tuple
-
-    def no_failure_result() -> SimulationResult:
-        nonlocal baseline_result
-        if baseline_result is None:
-            if use_capacity:
-                baseline_result = _run_capacity(
-                    workflow, low, env, mode, ordering, tr_dur, exec_dur,
-                    None,
-                )
-            elif use_turbo:
-                baseline_result = _result_from_turbo_tuple(
-                    workflow, env, mode, turbo_baseline()
-                )
-            else:
-                baseline_result = _run_single(
-                    workflow, low, env, mode, ordering, tr_dur, exec_dur,
-                    None,
-                )
-        return baseline_result
-
-    def no_failure_row():
-        nonlocal baseline_row
-        if baseline_row is None:
-            one = summary_batch(1)
-            if use_turbo:
-                one[0] = turbo_baseline() + (False,)
-            else:
-                _store_result(one, 0, no_failure_result())
-            baseline_row = one[0]
-        return baseline_row
+        return baseline
 
     cells: list[MonteCarloCell] = []
     k = out_offset
@@ -2385,12 +1910,10 @@ def run_monte_carlo(
                 # Failure-free (or zero-probability) cell: identical to
                 # the baseline.
                 if columnar:
-                    out[k] = no_failure_row()
+                    out[k] = no_failure()
                     k += 1
                 else:
-                    cells.append(
-                        MonteCarloCell(p, seed, no_failure_result())
-                    )
+                    cells.append(MonteCarloCell(p, seed, no_failure()))
                 continue
             key = flags[:L].tobytes()
             hit = pattern_cache.get(key)
@@ -2408,7 +1931,7 @@ def run_monte_carlo(
                 continue
             try:
                 if use_fork:
-                    turbo_baseline()  # materialize the checkpoints
+                    no_failure()  # materialize the checkpoints
                     j = int(np.argmax(flags[:L])) // SNAP_EVERY
                     if j >= len(snapshots):
                         j = len(snapshots) - 1
@@ -2417,33 +1940,15 @@ def run_monte_carlo(
                         exec_dur, verdicts=flags, max_retries=max_retries,
                         resume=snapshots[j],
                     )
-                    if columnar:
-                        row = tup + (False,)
-                        out[k] = row
-                        k += 1
-                        pattern_cache[key] = ("ok", row)
-                    else:
-                        result = _result_from_turbo_tuple(
-                            workflow, env, mode, tup
-                        )
-                        cells.append(MonteCarloCell(p, seed, result))
-                        pattern_cache[key] = ("ok", result)
-                    continue
-                fail = _matrix_hook(stream, p, max_retries, task_ids)
-                if use_capacity:
-                    result = _run_capacity(
-                        workflow, low, env, mode, ordering, tr_dur,
-                        exec_dur, fail,
-                    )
-                elif use_turbo:
-                    result = _run_turbo(
-                        workflow, low, env, mode, ordering, tr_dur,
-                        exec_dur, fail,
+                    result = (
+                        tup + (False,) if columnar
+                        else _result_from_turbo_tuple(workflow, env, mode, tup)
                     )
                 else:
-                    result = _run_single(
-                        workflow, low, env, mode, ordering, tr_dur,
-                        exec_dur, fail,
+                    result = _run_routed(
+                        workflow, low, env, mode, ordering, tr_dur, exec_dur,
+                        _matrix_hook(stream, p, max_retries, task_ids),
+                        row=columnar,
                     )
             except WorkflowAbortedError as exc:
                 pattern_cache[key] = ("abort", str(exc))
@@ -2455,12 +1960,11 @@ def run_monte_carlo(
                         MonteCarloCell(p, seed, None, True, str(exc))
                     )
             else:
+                pattern_cache[key] = ("ok", result)
                 if columnar:
-                    _store_result(out, k, result)
-                    pattern_cache[key] = ("ok", out[k].copy())
+                    out[k] = result
                     k += 1
                 else:
-                    pattern_cache[key] = ("ok", result)
                     cells.append(MonteCarloCell(p, seed, result))
     if columnar:
         return k - out_offset

@@ -1,10 +1,11 @@
-"""Fast-kernel unit tests: dispatch policy, eligibility, exact equality.
+"""Fast-kernel unit tests: dispatch policy, loop routing, exact equality.
 
 The statistical heavy lifting (kernel ≡ engine on arbitrary DAGs) lives
 in ``test_kernel_differential.py``; this file pins the dispatch rules of
-``simulate(..., kernel=...)``, the eligibility boundary, the lowering
-cache's mutation safety, and exact equality — records and curves
-included — on the golden Montage workflow.
+``simulate(..., kernel=...)``, the fast kernel's coverage of every
+resource model and its loop routing, the lowering cache's mutation
+safety, and exact equality — records and curves included — on the
+golden Montage workflow.
 """
 
 import pytest
@@ -18,7 +19,6 @@ from repro.sim import (
     ExecutionEnvironment,
     FailureModel,
     KernelConfig,
-    kernel_eligible,
     resolve_kernel,
     run_fast_kernel,
     run_fast_kernel_batch,
@@ -67,36 +67,9 @@ class TestResolveKernel:
 
 
 class TestEligibility:
-    def test_simple_model_is_eligible(self):
-        env = ExecutionEnvironment(n_processors=4)
-        assert kernel_eligible(env)
-
-    def test_contention_eligible(self):
-        # Contended FIFO links are modelled natively since the batched
-        # kernel PR.
-        env = ExecutionEnvironment(n_processors=4, link_contention=True)
-        assert kernel_eligible(env)
-        env = ExecutionEnvironment(
-            n_processors=4, link_contention=True, separate_links=True
-        )
-        assert kernel_eligible(env)
-
-    def test_finite_storage_eligible(self):
-        env = ExecutionEnvironment(
-            n_processors=4, storage_capacity_bytes=1e9
-        )
-        assert kernel_eligible(env)
-
-    def test_failures_eligible(self):
-        # The kernel replays FailureModel draws bit-identically since
-        # the Monte Carlo PR: nothing is ineligible any more.
-        env = ExecutionEnvironment(n_processors=4)
-        assert kernel_eligible(env, FailureModel(0.1, seed=1))
-
     def test_fast_never_raises(self):
         # Failures, contention and finite capacity all run on the fast
-        # kernel; KernelIneligibleError survives only as a deprecated
-        # API name (see test_ineligible_alias_deprecated).
+        # kernel.
         r = simulate(small_workflow(), 2, kernel="fast",
                      failures=FailureModel(0.5, seed=3))
         assert r.makespan > 0
@@ -106,19 +79,6 @@ class TestEligibility:
         r = simulate(small_workflow(), 2, kernel="fast",
                      storage_capacity_bytes=1e9)
         assert r.makespan > 0
-
-    def test_ineligible_alias_deprecated(self):
-        # The raise paths are gone; accessing the name (from the kernel
-        # module or the sim package) warns but keeps old except clauses
-        # importable, and the alias is still a ValueError subclass.
-        import repro.sim as sim_pkg
-        import repro.sim.kernel as kernel_mod
-
-        with pytest.warns(DeprecationWarning, match="KernelIneligibleError"):
-            exc = kernel_mod.KernelIneligibleError
-        assert issubclass(exc, ValueError)
-        with pytest.warns(DeprecationWarning, match="KernelIneligibleError"):
-            assert sim_pkg.KernelIneligibleError is exc
 
     def test_run_fast_kernel_handles_contention_and_capacity(self):
         for env in (
@@ -182,13 +142,26 @@ class TestAutoFallback:
             ({"storage_capacity_bytes": -1}, "capacity must be positive"),
             ({"storage_capacity_bytes": float("nan")},
              "capacity must be positive"),
+            ({"task_overhead_seconds": float("nan")},
+             "task_overhead_seconds must be finite and >= 0"),
+            ({"task_overhead_seconds": float("inf")},
+             "task_overhead_seconds must be finite and >= 0"),
+            ({"compute_ready_seconds": float("nan")},
+             "compute_ready_seconds must be finite and >= 0"),
+            ({"compute_ready_seconds": float("inf")},
+             "compute_ready_seconds must be finite and >= 0"),
         ],
-        ids=["bw0", "bw-1", "bw-nan", "cap0", "cap-1", "cap-nan"],
+        ids=[
+            "bw0", "bw-1", "bw-nan", "cap0", "cap-1", "cap-nan",
+            "oh-nan", "oh-inf", "ready-nan", "ready-inf",
+        ],
     )
     def test_invalid_environment_rejected_identically(self, kwargs, message):
         # One boundary for both kernels: unchecked, the fast kernel
         # returns a negative makespan for bandwidth -1 and deadlocks on
-        # the other values.
+        # the other values, an infinite overhead or boot time splits the
+        # engines (makespan inf vs a deadlock), and NaN ones yield a NaN
+        # makespan or are silently ignored.
         wf = montage_workflow(1.0)
         errs = []
         for kernel in ("event", "fast"):
@@ -439,6 +412,33 @@ class TestSingleRunRouting:
         assert got.makespan == traced.makespan
         assert got.storage_byte_seconds == traced.storage_byte_seconds
         assert got.task_records == [] and got.storage_curve is None
+
+    def test_monte_carlo_follows_turbo_eligible(self, monkeypatch):
+        # Monte Carlo routes by the same rule as every other entry point:
+        # with the turbo loop ruled out, its baseline and failing cells
+        # take the general loop, which must reproduce the turbo
+        # baseline and forks cell for cell.
+        from repro.sim import kernel
+
+        wf = montage_workflow(1.0)
+        config = KernelConfig(ExecutionEnvironment(n_processors=8))
+        grid = ([0.0, 0.05, 0.2], range(5))
+        turbo = kernel.summary_batch(15)
+        run_monte_carlo(wf, config, *grid, out=turbo)
+
+        calls = []
+        general = kernel._run_single
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return general(*args, **kwargs)
+
+        monkeypatch.setattr(kernel, "_turbo_eligible", lambda *a: False)
+        monkeypatch.setattr(kernel, "_run_single", spy)
+        out = kernel.summary_batch(15)
+        run_monte_carlo(wf, config, *grid, out=out)
+        assert len(calls) > 1  # the baseline and at least one failing cell
+        assert out.tobytes() == turbo.tobytes()
 
 
 class TestLoweringCache:

@@ -117,42 +117,67 @@ def test_kernel_identical_with_contended_link(wf, p, mode, sep, trace):
     assert a == b
 
 
-def both_or_deadlock(wf, **kwargs):
-    """Run both backends; return (result, error-message) per backend.
+def both_or_deadlock(wf, fail_seed=None, **kwargs):
+    """Run both backends; return (result, (error type, message)) each.
 
-    A capacity below the workflow's minimum footprint deadlocks — the
-    kernel must deadlock on exactly the same configurations, with
-    exactly the same diagnostic.
+    A capacity below the workflow's minimum footprint deadlocks, and a
+    failure model may exhaust its retry budget — the kernel must
+    deadlock or abort on exactly the same configurations, with exactly
+    the same exception and diagnostic.  ``fail_seed`` builds a fresh
+    ``FailureModel(0.2, fail_seed, max_retries=3)`` per backend.
     """
     out = []
     for kernel in ("event", "fast"):
+        failures = (
+            None if fail_seed is None
+            else FailureModel(0.2, seed=fail_seed, max_retries=3)
+        )
         try:
-            out.append((simulate(wf, kernel=kernel, **kwargs), None))
-        except RuntimeError as err:
-            out.append((None, str(err)))
+            out.append(
+                (simulate(wf, kernel=kernel, failures=failures, **kwargs),
+                 None)
+            )
+        except (RuntimeError, WorkflowAbortedError) as err:
+            out.append((None, (type(err), str(err))))
     return out
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(
     wf=workflows(),
     p=st.integers(1, 6),
     mode=st.sampled_from(DATA_MODES),
-    frac=st.sampled_from([0.1, 0.3, 0.6, 1.0, 2.0]),
+    frac=st.sampled_from([0.05, 0.1, 0.3, 0.6, 1.0, 1.5, 2.0]),
     cont=st.booleans(),
+    sep=st.booleans(),
     trace=st.booleans(),
+    ordering=st.sampled_from(ORDERINGS),
+    boot=st.sampled_from([0.0, 45.0]),
+    overhead=st.sampled_from([0.0, 2.5]),
+    fail_seed=st.one_of(st.none(), st.integers(0, 2**16)),
 )
-def test_kernel_identical_with_finite_capacity(wf, p, mode, frac, cont, trace):
+def test_kernel_identical_with_finite_capacity(
+    wf, p, mode, frac, cont, sep, trace, ordering, boot, overhead, fail_seed
+):
     # Capacity as a fraction of the total byte footprint exercises both
     # the admission-control stalls (small fractions) and the unconstrained
-    # regime (fraction 2.0); deadlocks must agree byte-for-byte too.
+    # regime (fractions 1.5 and 2.0); deadlocks and aborts must agree
+    # byte-for-byte too.  Orderings, boot delay, overhead, split links
+    # and failures are where the capacity cascade meets the code paths
+    # it shares with infinite storage: the non-FIFO head-of-line peek,
+    # reservations made while booting, in-place retries.
     total = sum(f.size_bytes for f in wf.files.values())
     (a, a_err), (b, b_err) = both_or_deadlock(
         wf,
+        fail_seed,
         n_processors=p,
         data_mode=mode,
         storage_capacity_bytes=max(total * frac, 1.0),
         link_contention=cont,
+        separate_links=sep,
+        ordering=ordering,
+        compute_ready_seconds=boot,
+        task_overhead_seconds=overhead,
         record_trace=trace,
     )
     assert a_err == b_err
