@@ -335,7 +335,7 @@ class TestBatchKernel:
 
 
 class TestSingleRunRouting:
-    """Traceless single runs take the batch's turbo loop, bit-identically."""
+    """Every entry point takes the loop ``_turbo_eligible`` picks."""
 
     @staticmethod
     def three_ways(wf, mode, ordering, boot, failures):
