@@ -25,7 +25,11 @@ import hashlib
 from dataclasses import dataclass
 
 from repro.sim.datamanager import DataMode
-from repro.sim.executor import DEFAULT_BANDWIDTH, ExecutionEnvironment
+from repro.sim.executor import (
+    DEFAULT_BANDWIDTH,
+    ExecutionEnvironment,
+    processor_count,
+)
 from repro.sim.kernel import KernelConfig
 from repro.sim.scheduler import ordering_by_name
 from repro.workflow.dag import Workflow
@@ -49,7 +53,7 @@ class GridPlan:
     def __post_init__(self) -> None:
         object.__setattr__(self, "plates", tuple(self.plates))
         object.__setattr__(
-            self, "processors", tuple(int(p) for p in self.processors)
+            self, "processors", tuple(map(processor_count, self.processors))
         )
         object.__setattr__(
             self, "probabilities", tuple(float(p) for p in self.probabilities)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from itertools import count
 
@@ -32,6 +33,21 @@ __all__ = ["ExecutionEnvironment", "WorkflowExecutor", "simulate"]
 
 #: The paper's fixed user<->storage bandwidth: 10 Mbps.
 DEFAULT_BANDWIDTH = 10.0 * MBPS
+
+
+def processor_count(n) -> int:
+    """``n`` as an ``int``; ``ValueError`` unless it is a non-bool integer.
+
+    A float count would split the engines: ``ProcessorPool`` truncates
+    it, while the fast kernel's float ``free`` never reaches 0 and so
+    runs an unlimited pool.
+    """
+    if not isinstance(n, bool):
+        try:
+            return operator.index(n)
+        except TypeError:
+            pass
+    raise ValueError(f"n_processors must be an integer, got {n}")
 
 
 @dataclass(frozen=True)
@@ -92,6 +108,8 @@ class ExecutionEnvironment:
     record_trace: bool = True
 
     def __post_init__(self) -> None:
+        # The ``>= 1`` check stays at run time, on every backend.
+        processor_count(self.n_processors)
         # Written as ``not (x > 0)`` so NaN is rejected too: every backend
         # sees the same error instead of a deadlock or a negative makespan.
         if not self.bandwidth_bytes_per_sec > 0:

@@ -426,6 +426,12 @@ _SOUT = 3  # shared-storage stage-out completion      a = file index
 _COPY = 4  # remote-I/O input copy arrival            a = task, b = file
 _ROUT = 5  # remote-I/O per-task stage-out completion a = task, b = file
 
+# Whether ``sum`` over floats is a plain left fold, so that a running
+# total can reproduce it one ``+`` at a time.  CPython 3.12 switched
+# float ``sum`` to Neumaier compensated summation; there ``_run_single``
+# re-sums its store on every read, exactly as ``Storage.bytes_used`` does.
+_SUM_IS_LEFT_FOLD = sum([1.0, 1e100, 1.0, -1e100]) == 0.0
+
 
 @dataclass(frozen=True)
 class KernelConfig:
@@ -659,7 +665,9 @@ def _run_single(
     all replay here.  A finite ``storage_capacity_bytes`` (``limited``)
     adds the engine's admission cascade: ``Storage``'s reservation
     accounting (``fits`` compares ``(stored + reserved) + n`` against
-    ``capacity + 1e-6`` with stored summed in object insertion order),
+    ``capacity + 1e-6``, where stored is ``bytes_used``'s fold of the
+    object sizes in insertion order; while the store only grows that
+    left fold is kept as a running total, recomputed after a removal),
     the head-of-line dispatch reservation (peek, reserve, break without
     popping on failure), the gated stage-in pump with its output-headroom
     admission rule, and the space-freed notification order — the
@@ -752,6 +760,7 @@ def _run_single(
     refcount = [0] * low.n_files  # remote: current holders per file
     done_flag = bytearray(n_tasks)
     store: dict[int, float] = {}  # storage objects, insertion-ordered
+    used = None  # running sum(store.values()); None until next stored()
     reserved = 0.0
     pumping = False
     sin_head = 0  # next stage-in of input_fidx the pump submits
@@ -765,8 +774,27 @@ def _run_single(
     transfer_records: list[TransferRecord] = []
 
     # -- storage (exact ops of resources.Storage) ---------------------- #
+    def stored() -> float:
+        """``Storage.bytes_used``: ``sum(store.values())``, kept running."""
+        nonlocal used
+        if used is None:
+            total = sum(store.values())
+            if not _SUM_IS_LEFT_FOLD:
+                return total
+            used = total
+        return used
+
+    def add_obj(f: int) -> None:
+        # A left fold in insertion order grows by exactly one ``+`` when
+        # a new key is appended; an overwrite keeps the key's old slot
+        # and breaks the fold, as does a removal (``remove_obj``).
+        nonlocal used
+        if used is not None:
+            used = None if f in store else used + sizes[f]
+        store[f] = sizes[f]
+
     def fits(n: float) -> bool:
-        return (sum(store.values()) + reserved) + n <= cap_eps
+        return (stored() + reserved) + n <= cap_eps
 
     def reserve(n: float) -> bool:
         nonlocal reserved
@@ -790,14 +818,16 @@ def _run_single(
     def materialize(f: int) -> None:
         # add first, release the reservation after (committed bytes
         # never transiently undercount)
-        store[f] = sizes[f]
+        add_obj(f)
         storage_deltas.append((now, sizes[f]))
         if limited:
             release_reservation(sizes[f])
 
     def remove_obj(f: int) -> None:
+        nonlocal used
         storage_deltas.append((now, -store.pop(f)))
         if limited:
+            used = None
             space_freed()
 
     # -- link (exact ops of NetworkLink.request) ---------------------- #
@@ -907,7 +937,7 @@ def _run_single(
                     # Leave output headroom — except when the store is
                     # completely empty, where holding back cannot help.
                     admissible = fits(size + headroom) or (
-                        (sum(store.values()) + reserved) == 0.0
+                        (stored() + reserved) == 0.0
                     )
                     if not (admissible and reserve(size)):
                         break
@@ -929,7 +959,7 @@ def _run_single(
         """Remote-I/O _retain(reserved=limited): refcounted single copy."""
         count = refcount[f]
         if not count:
-            store[f] = sizes[f]
+            add_obj(f)
             storage_deltas.append((now, sizes[f]))
         if limited:
             release_reservation(sizes[f])
@@ -1180,7 +1210,8 @@ def _run_turbo_core(
     Returns the scalar metrics as a plain tuple (in
     :data:`SUMMARY_DTYPE` field order, minus the abort flag) so the
     columnar campaign path can write them straight into a record batch;
-    :func:`_run_turbo` wraps them into a :class:`SimulationResult`.
+    :func:`_run_routed` wraps them into a :class:`SimulationResult`
+    (via :func:`_result_from_turbo_tuple`) unless a row is asked for.
 
     Failures come either from the live ``fail(t, attempt)`` hook or, for
     Monte Carlo cells, from ``verdicts``: a boolean array indexed by

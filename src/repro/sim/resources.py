@@ -119,6 +119,13 @@ class Storage:
         self.capacity_bytes = capacity_bytes
         self._objects: dict[object, float] = {}
         self._reserved = 0.0
+        # ``_reserved``'s ``+=``/``max(0, -)`` fold drifts by a few ulps,
+        # and one ulp of a ~1.7e10 B capacity is already ~4e-6 B: scale
+        # the over-release guard's slack to the capacity.
+        self._release_slack = (
+            1e-6 if capacity_bytes is None
+            else max(1e-6, capacity_bytes * 2**-40)
+        )
         self.usage_curve = StepCurve(0.0)
         self._space_freed_subscribers: list = []
 
@@ -159,7 +166,7 @@ class Storage:
         """Return reserved capacity (on materialization or abandonment)."""
         if n_bytes < 0:
             raise ValueError(f"negative reservation {n_bytes}")
-        if n_bytes > self._reserved + 1e-6:
+        if n_bytes > self._reserved + self._release_slack:
             raise RuntimeError(
                 f"releasing {n_bytes} B but only {self._reserved} B reserved"
             )

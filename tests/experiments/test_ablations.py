@@ -14,6 +14,7 @@ from repro.experiments.ablations import (
     storage_capacity_study,
     vm_overhead_study,
 )
+from repro.sim.kernel import KERNEL_ENV
 from repro.workflow.generators import fork_join_workflow
 
 
@@ -58,3 +59,28 @@ class TestStudyShapes:
             "storage-capacity", "clustering", "campaign-policies",
             "service-scale",
         ]
+
+
+class TestEngineAgreement:
+    @pytest.mark.slow  # ~3-3.7 s, most of it on the event engine
+    def test_paper_report_studies_identical_on_both_engines(
+        self, montage4, monkeypatch
+    ):
+        # The four fixed 4° studies the paper report publishes.  At this
+        # size the capacity runs reach rounding drift in the oracle's
+        # reservation fold that the differential's small workflows never
+        # do; the engine is selected the way run_jobs resolves it.
+        studies = (
+            link_contention_study,
+            scheduler_study,
+            storage_capacity_study,
+            clustering_study,
+        )
+        tables = []
+        for kernel in ("event", None):
+            if kernel is None:
+                monkeypatch.delenv(KERNEL_ENV, raising=False)
+            else:
+                monkeypatch.setenv(KERNEL_ENV, kernel)
+            tables.append([study(montage4).as_table() for study in studies])
+        assert tables[0] == tables[1]

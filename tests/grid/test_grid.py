@@ -64,6 +64,18 @@ class TestGridPlan:
         with pytest.raises(KeyError, match="unknown ordering"):
             GridPlan(plates=plates(1), processors=(2,), ordering="bogus")
 
+    @pytest.mark.parametrize("p", [2.5, True, 8.0])
+    def test_non_integral_processor_count_rejected(self, p):
+        # int(p) used to turn 2.5 into a silent 2.
+        with pytest.raises(ValueError, match="n_processors must be an integer"):
+            GridPlan(plates=plates(1), processors=(p,))
+
+    def test_numpy_processor_count_normalized(self):
+        plan = small_plan(1, processors=(np.int64(2), 4))
+        assert plan.processors == (2, 4)
+        assert all(type(p) is int for p in plan.processors)
+        assert plan.fingerprint() == small_plan(1).fingerprint()
+
     def test_plan_is_picklable(self):
         import pickle
 

@@ -170,6 +170,23 @@ class TestAutoFallback:
             errs.append((type(err.value), str(err.value)))
         assert errs[0] == errs[1]
 
+    @pytest.mark.parametrize("n_processors", [2.5, 8.5, True, 8.0])
+    def test_non_integral_processor_count_rejected_identically(
+        self, n_processors
+    ):
+        # Unchecked, 2.5 gave makespan 10,527 s on the event engine (the
+        # pool truncates to 2) and 928.8 s on the fast kernel (its float
+        # free count never reaches 0: an unlimited pool).
+        wf = montage_workflow(1.0)
+        errs = []
+        for kernel in ("event", "fast"):
+            with pytest.raises(
+                ValueError, match="n_processors must be an integer"
+            ) as err:
+                simulate(wf, n_processors, record_trace=False, kernel=kernel)
+            errs.append((type(err.value), str(err.value)))
+        assert errs[0] == errs[1]
+
     def test_audited_auto_run_uses_event_engine(self):
         # audit=True forces the event path under "auto" (the oracle's
         # job is to check the engine); the result must not change.

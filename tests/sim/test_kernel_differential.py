@@ -9,6 +9,8 @@ accumulation order or arithmetic shape between the two implementations
 shows up as a failure with a shrunken DAG attached.
 """
 
+from unittest import mock
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -19,6 +21,7 @@ from repro.sim import (
     SHORTEST_FIRST,
     simulate,
 )
+from repro.sim import kernel
 from repro.sim.failures import FailureModel, WorkflowAbortedError
 
 from tests.strategies import DATA_MODES, failure_specs, workflows
@@ -180,6 +183,31 @@ def test_kernel_identical_with_finite_capacity(
         task_overhead_seconds=overhead,
         record_trace=trace,
     )
+    assert a_err == b_err
+    assert a == b
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    wf=workflows(),
+    p=st.integers(1, 6),
+    mode=st.sampled_from(DATA_MODES),
+    frac=st.sampled_from([0.1, 0.3, 0.6, 1.0, 1.5]),
+)
+def test_capacity_replay_when_sum_is_not_a_left_fold(wf, p, mode, frac):
+    # Where float ``sum`` compensates (CPython >= 3.12) the kernel cannot
+    # keep a running stored total and re-sums on every read instead;
+    # exercise that branch on any interpreter.
+    total = sum(f.size_bytes for f in wf.files.values())
+    with mock.patch.object(kernel, "_SUM_IS_LEFT_FOLD", False):
+        (a, a_err), (b, b_err) = both_or_deadlock(
+            wf,
+            None,
+            n_processors=p,
+            data_mode=mode,
+            storage_capacity_bytes=max(total * frac, 1.0),
+            record_trace=False,
+        )
     assert a_err == b_err
     assert a == b
 

@@ -54,6 +54,14 @@ class TestStorageReservations:
         with pytest.raises(RuntimeError):
             s.release_reservation(5.0)  # nothing reserved
 
+    def test_over_release_raises_at_large_capacity(self):
+        # The guard's slack scales with the capacity (~0.016 B here) to
+        # absorb rounding drift in the reservation fold, not real errors.
+        s = Storage(capacity_bytes=1.7e10)
+        assert s.reserve(1000.0)
+        with pytest.raises(RuntimeError, match="releasing 2000.0 B"):
+            s.release_reservation(2000.0)
+
 
 class TestConstrainedExecution:
     def test_ample_capacity_identical_to_infinite(self, montage1):
