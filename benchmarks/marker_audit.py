@@ -5,10 +5,10 @@ The tier-1 suite is ``pytest -q`` with the ``addopts`` default
 applied and declared consistently.  This script verifies, without
 running a single test:
 
-1. every ``pytest.mark.<name>`` used under ``tests/`` and in the
-   ``benchmarks/test_*`` modules is declared (checked against
-   ``pytest --markers``, so typos like ``@pytest.mark.slwo`` cannot
-   silently drop a test from the slow set);
+1. every ``pytest.mark.<name>`` used under ``tests/`` is declared
+   (checked against ``pytest --markers``, so typos like
+   ``@pytest.mark.slwo`` cannot silently drop a test from the slow
+   set);
 2. strict-marker collection of the *full* suite (``-m ""``) succeeds;
 3. the tier-1 selection actually deselects something (the ``slow``
    tier exists) and still selects a non-empty fast tier;
@@ -32,8 +32,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-BENCH_DIR = Path(__file__).resolve().parent
-REPO_ROOT = BENCH_DIR.parent
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 _MARK_USE = re.compile(r"pytest\.mark\.([A-Za-z_]\w*)")
 _MARK_DECL = re.compile(r"^@pytest\.mark\.([A-Za-z_]\w*)", re.MULTILINE)
@@ -78,12 +77,7 @@ def declared_markers() -> set[str]:
 def used_markers() -> dict[str, set[str]]:
     """Marker name -> set of files using it."""
     uses: dict[str, set[str]] = {}
-    files = list((REPO_ROOT / "tests").rglob("*.py"))
-    files += sorted(BENCH_DIR.glob("test_*.py"))
-    files.append(BENCH_DIR / "conftest.py")
-    for path in files:
-        if not path.is_file():
-            continue
+    for path in (REPO_ROOT / "tests").rglob("*.py"):
         for name in _MARK_USE.findall(path.read_text(encoding="utf-8")):
             uses.setdefault(name, set()).add(
                 str(path.relative_to(REPO_ROOT))

@@ -15,7 +15,7 @@ exactly like income tax:
 :class:`TieredPricingModel` wraps a base :class:`PricingModel`, replacing
 any of its flat components with tiers while keeping the same cost-function
 interface, so everything downstream (cost attribution, economics,
-benches) works unchanged.
+experiments) works unchanged.
 """
 
 from __future__ import annotations

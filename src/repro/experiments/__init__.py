@@ -11,7 +11,7 @@ figure and table of the evaluation (Section 6).
 * :mod:`repro.experiments.question3` — whole-sky cost and the
   store-vs-recompute horizon;
 * :mod:`repro.experiments.report` — fixed-width table rendering shared by
-  the benchmark harness and the examples;
+  the report, the CLI and the examples;
 * :mod:`repro.experiments.runner` — run everything and emit the full
   paper-comparison report (``python -m repro.experiments.runner``).
 """

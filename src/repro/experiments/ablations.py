@@ -2,9 +2,9 @@
 
 Each study relaxes one idealization of the paper (or exercises one of its
 future-work items / references) and returns structured rows plus a
-rendered table; the benchmark suite asserts their shapes and archives the
-tables, and ``python -m repro.experiments.runner --extensions`` prints
-them all.
+rendered table; ``tests/experiments/test_ablations.py`` asserts each
+study's finding on the 1° workload, and
+``python -m repro.experiments.runner --extensions`` prints them all.
 
 Studies
 -------

@@ -1,7 +1,7 @@
 """Fixed-width table rendering for experiment reports.
 
-The benchmark harness prints the same rows/series the paper's figures
-plot; this module keeps that formatting in one place.
+``python -m repro report`` prints the same rows/series the paper's
+figures plot; this module keeps that formatting in one place.
 """
 
 from __future__ import annotations

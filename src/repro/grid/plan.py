@@ -28,6 +28,7 @@ from repro.sim.datamanager import DataMode
 from repro.sim.executor import (
     DEFAULT_BANDWIDTH,
     ExecutionEnvironment,
+    check_bandwidth,
     processor_count,
 )
 from repro.sim.kernel import KernelConfig
@@ -81,8 +82,9 @@ class GridPlan:
             raise ValueError(
                 f"max_retries must be >= 0, got {self.max_retries}"
             )
-        # Fail fast on unknown modes/orderings at plan-construction time,
-        # not inside a shard worker.
+        # Fail fast on bad bandwidths and unknown modes/orderings at
+        # plan-construction time, not inside a shard worker.
+        check_bandwidth(self.bandwidth_bytes_per_sec)
         DataMode(self.data_mode)
         ordering_by_name(self.ordering)
 

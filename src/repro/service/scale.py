@@ -35,6 +35,7 @@ windows through the event-based simulator and bounds the error (see the
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -46,7 +47,7 @@ from repro.montage.generator import montage_workflow
 from repro.service.arrivals import ServiceRequest, poisson_arrival_array
 from repro.service.simulator import ResponseStats, ServiceSimulator
 from repro.service.summaries import ClassSummary, summarize_mix
-from repro.sim.executor import DEFAULT_BANDWIDTH
+from repro.sim.executor import DEFAULT_BANDWIDTH, check_bandwidth
 from repro.sweep.cache import SimCache
 from repro.util.units import MONTH
 from repro.workflow.dag import Workflow
@@ -84,8 +85,11 @@ class MixComponent:
     weight: float
 
     def __post_init__(self) -> None:
-        if self.weight <= 0:
-            raise ValueError(f"non-positive mix weight {self.weight}")
+        # ``not 0 < x < inf`` rejects NaN as well as the out-of-range.
+        if not 0 < self.weight < math.inf:
+            raise ValueError(
+                f"mix weight must be finite and > 0, got {self.weight}"
+            )
 
 
 @dataclass(frozen=True)
@@ -103,16 +107,20 @@ class TrafficSpec:
     bandwidth_bytes_per_sec: float = DEFAULT_BANDWIDTH
 
     def __post_init__(self) -> None:
-        if self.requests_per_month <= 0:
-            raise ValueError("requests_per_month must be positive")
-        if self.horizon_months <= 0:
-            raise ValueError("horizon_months must be positive")
+        # The chained tests reject NaN as well as the out-of-range.
+        for name in ("requests_per_month", "horizon_months"):
+            x = getattr(self, name)
+            if not 0 < x < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {x}")
+        for name in ("zipf_exponent", "retention_months"):
+            x = getattr(self, name)
+            if not 0 <= x < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {x}")
         if not self.mix:
             raise ValueError("need at least one mix component")
         if self.n_regions < 1:
             raise ValueError("need at least one region")
-        if self.retention_months < 0:
-            raise ValueError("negative retention")
+        check_bandwidth(self.bandwidth_bytes_per_sec)
 
     @property
     def rate_per_second(self) -> float:

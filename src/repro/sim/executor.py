@@ -50,6 +50,16 @@ def processor_count(n) -> int:
     raise ValueError(f"n_processors must be an integer, got {n}")
 
 
+def check_bandwidth(b) -> None:
+    """``ValueError`` unless the link bandwidth ``b`` is ``> 0``.
+
+    Written as ``not b > 0`` so NaN is rejected too: every backend sees
+    the same error instead of a deadlock or a negative makespan.
+    """
+    if not b > 0:
+        raise ValueError(f"bandwidth must be positive, got {b}")
+
+
 @dataclass(frozen=True)
 class ExecutionEnvironment:
     """Static description of the simulated cloud slice.
@@ -110,13 +120,7 @@ class ExecutionEnvironment:
     def __post_init__(self) -> None:
         # The ``>= 1`` check stays at run time, on every backend.
         processor_count(self.n_processors)
-        # Written as ``not (x > 0)`` so NaN is rejected too: every backend
-        # sees the same error instead of a deadlock or a negative makespan.
-        if not self.bandwidth_bytes_per_sec > 0:
-            raise ValueError(
-                "bandwidth must be positive, "
-                f"got {self.bandwidth_bytes_per_sec}"
-            )
+        check_bandwidth(self.bandwidth_bytes_per_sec)
         capacity = self.storage_capacity_bytes
         if capacity is not None and not capacity > 0:
             raise ValueError(

@@ -83,16 +83,32 @@ class TestCostEstimate:
         )
         assert measured.storage_cost <= est.storage_cost_upper_bound + 1e-12
 
-    @pytest.mark.parametrize("p", [1, 8, 64])
-    def test_total_within_30_percent_of_simulation(self, montage1, p):
+    @pytest.mark.parametrize(
+        "fixture,p",
+        [
+            pytest.param("montage1", 1, id="1"),
+            pytest.param("montage1", 8, id="8"),
+            pytest.param("montage1", 64, id="64"),
+            *(
+                pytest.param(fixture, p, id=f"{fixture}-{p}")
+                for fixture, ps in (
+                    ("montage1", (16, 128)),
+                    ("montage2", (1, 16, 128)),
+                    ("montage4", (1, 16, 128)),
+                )
+                for p in ps
+            ),
+        ],
+    )
+    def test_total_within_30_percent_of_simulation(self, fixture, p, request):
+        wf = request.getfixturevalue(fixture)
         plan = ExecutionPlan.provisioned(p, "regular")
-        est = estimate_cost(montage1, plan)
-        measured = compute_cost(
-            simulate(montage1, p, "regular", record_trace=False),
-            AWS_2008,
-            plan,
-        )
+        est = estimate_cost(wf, plan)
+        result = simulate(wf, p, "regular", record_trace=False)
+        measured = compute_cost(result, AWS_2008, plan)
         assert est.total == pytest.approx(measured.total, rel=0.30)
+        assert est.makespan_lower - 1e-6 <= result.makespan
+        assert result.makespan <= est.makespan_upper + 1e-6
 
     def test_vm_overhead_included(self):
         from repro.core.plans import VMOverhead

@@ -15,7 +15,7 @@ class TestCCRTable:
 
 @pytest.fixture(scope="module")
 def fig11(montage1):
-    return run_ccr_sweep(montage1, ccr_values=(0.05, 0.2, 1.0, 4.0))
+    return run_ccr_sweep(montage1)  # the full DEFAULT_CCR_VALUES grid
 
 
 class TestFigure11Shape:

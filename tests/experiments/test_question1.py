@@ -48,6 +48,25 @@ class TestFigure4Shape:
             )
 
 
+@pytest.fixture(scope="module", params=[1.0, 2.0, 4.0],
+                ids=["fig4", "fig5", "fig6"])
+def figure(request):
+    """Figures 4-6 over the full P = 1, 2, 4, ..., 128 progression."""
+    return run_question1(request.param)
+
+
+class TestFigures4To6Shape:
+    def test_cost_rises_and_time_falls(self, figure):
+        totals = [r.total_cost for r in figure.rows]
+        spans = [r.makespan for r in figure.rows]
+        # Allowing the <0.2% dips that tail effects produce at the low
+        # end of the 4-degree sweep.
+        for a, b in zip(totals, totals[1:]):
+            assert b >= a * 0.998, "total cost must rise with processors"
+        assert totals[-1] > 1.5 * totals[0]
+        assert spans == sorted(spans, reverse=True), "time must fall"
+
+
 class TestFigure4Values:
     def test_one_processor_near_60_cents(self, fig4):
         row = fig4.row(1)

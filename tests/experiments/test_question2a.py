@@ -68,6 +68,35 @@ class TestFigure7(object):
         assert fig7.n_processors == 118
 
 
+@pytest.fixture(scope="module", params=[2.0, 4.0], ids=["fig8", "fig9"])
+def figure(request):
+    """Figures 8 and 9: the 2° and 4° workflows at full parallelism (the
+    1° case is ``fig7``, tested above)."""
+    return run_question2a(request.param)
+
+
+class TestFigures8And9:
+    def test_mode_ordering(self, figure):
+        rem = figure.metrics("remote-io")
+        reg = figure.metrics("regular")
+        cln = figure.metrics("cleanup")
+        # Top panel: storage remote < cleanup < regular.
+        assert (
+            rem.storage_gb_hours < cln.storage_gb_hours < reg.storage_gb_hours
+        )
+        # Middle panel: remote I/O transfers the most; regular == cleanup.
+        assert rem.bytes_in > reg.bytes_in == pytest.approx(cln.bytes_in)
+        assert rem.bytes_out > reg.bytes_out == pytest.approx(cln.bytes_out)
+        # Bottom panel: remote I/O DM cost highest, cleanup lowest.
+        assert rem.dm_cost > reg.dm_cost >= cln.dm_cost
+
+    def test_remote_io_cpu_above_dm(self, figure):
+        # Figure 10: "the CPU cost is slightly higher than the data
+        # management costs for the remote I/O execution mode."
+        m = figure.metrics("remote-io")
+        assert m.cpu_cost > m.dm_cost
+
+
 class TestFigure10Values:
     def test_1deg_totals(self, fig7):
         # Regular-mode request total ~= the paper's Figure 10 bar.

@@ -63,6 +63,14 @@ class TestGridPlan:
             )
         with pytest.raises(KeyError, match="unknown ordering"):
             GridPlan(plates=plates(1), processors=(2,), ordering="bogus")
+        # ExecutionEnvironment's rule, at construction rather than
+        # inside a shard worker.
+        for bw in (-1.0, 0.0, float("nan")):
+            with pytest.raises(ValueError, match="bandwidth must be positive"):
+                GridPlan(
+                    plates=plates(1), processors=(2,),
+                    bandwidth_bytes_per_sec=bw,
+                )
 
     @pytest.mark.parametrize("p", [2.5, True, 8.0])
     def test_non_integral_processor_count_rejected(self, p):

@@ -75,6 +75,26 @@ class TestCampaign:
             slow_pre.total_cost - slow_staged.total_cost
         )
 
+    def test_pool_configurations(self):
+        rows = []
+        for procs, pools in [(16, 1), (16, 4), (16, 16), (64, 16)]:
+            staged = plan_whole_sky_campaign(
+                4.0, processors_per_pool=procs, n_pools=pools
+            )
+            pre = plan_whole_sky_campaign(
+                4.0, processors_per_pool=procs, n_pools=pools,
+                prestage_inputs=True,
+            )
+            rows.append((procs, staged.duration_months, staged.total_cost,
+                         pre.total_cost))
+        durations = [r[1] for r in rows]
+        assert durations == sorted(durations, reverse=True)
+        for _, _, staged, pre in rows:
+            assert pre > staged  # one-shot campaigns never justify hosting
+        # The compute bill does not depend on the duration at a fixed
+        # pool width (the paper's on-demand argument, at campaign scale).
+        assert len({round(r[2], 2) for r in rows if r[0] == 16}) == 1
+
     def test_six_degree_campaign(self):
         plan = plan_whole_sky_campaign(6.0, 16)
         assert plan.n_plates == 1734

@@ -77,6 +77,20 @@ class TestRouting:
         assert burst.max_response_time() < local_only.max_response_time()
 
 
+    def test_local_capacity_sweep(self, montage1):
+        storm = [ServiceRequest(f"r{i}", montage1, 0.0) for i in range(8)]
+        outs = [
+            simulate_bursting(storm, local, 2 * HOUR)
+            for local in (1, 2, 4, 8, 16, 32)
+        ]
+        bursts = [out.n_burst for out in outs]
+        costs = [out.cloud_cost.total for out in outs]
+        assert bursts == sorted(bursts, reverse=True)  # bigger, fewer
+        assert costs == sorted(costs, reverse=True)
+        assert bursts[-1] == 0  # 32 local processors absorb the storm
+        assert bursts[0] > 0
+
+
 class TestValidation:
     def test_invalid_args(self, calm_stream):
         with pytest.raises(ValueError):

@@ -145,6 +145,18 @@ class TestPolicySimulation:
         assert best.retention_months > 0
         assert best.total_cost < no_cache.total_cost
 
+    def test_retention_sweep_favours_caching(self):
+        pop = ZipfPopularity(200, exponent=1.2, seed=2008)
+        stream = popularity_stream(pop, 150.0, 24.0, seed=2008)
+        results = sweep_retention(
+            stream, 24.0, [0.0, 1.0, 3.0, 6.0, 12.0, 24.0], GEN_COST, MOSAIC
+        )
+        best = min(results, key=lambda r: r.total_cost)
+        assert best.retention_months > 0
+        assert best.total_cost < results[0].total_cost
+        hit_rates = [r.hit_rate for r in results]
+        assert hit_rates == sorted(hit_rates)  # longer retention, more hits
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             simulate_cache_policy([], 1.0, -1.0, GEN_COST, MOSAIC)

@@ -3,7 +3,11 @@
 import pytest
 
 from repro.core.pricing import AWS_2008
-from repro.service.arrivals import ServiceRequest
+from repro.service.arrivals import (
+    ServiceRequest,
+    request_stream,
+    uniform_arrivals,
+)
 from repro.service.economics import service_economics
 from repro.service.simulator import ServiceSimulator
 from repro.workflow.generators import chain_workflow
@@ -91,6 +95,23 @@ class TestMontageService:
         busy = _run_montage(montage1, n_requests=8)
         assert busy.pool_utilization >= lone.pool_utilization
         assert busy.cost_per_request_pool < lone.cost_per_request_pool
+
+    def test_pool_sizing(self, montage1):
+        requests = request_stream(uniform_arrivals(10, 120.0), [montage1])
+        p95s, on_demand = [], []
+        for p in (8, 16, 32, 64, 128):
+            result = ServiceSimulator(p, "cleanup").run(requests)
+            eco = service_economics(result)
+            p95s.append(result.percentile_response_time(95.0))
+            on_demand.append(eco.cost_per_request_on_demand)
+            assert eco.cost_per_request_pool >= (
+                eco.cost_per_request_on_demand - 1e-9
+            )
+            assert 0.0 < result.pool_utilization() <= 1.0
+        assert p95s == sorted(p95s, reverse=True)  # bigger pool, faster
+        # Resources-used cost is pool-size invariant up to the storage
+        # term, which shrinks as queueing disappears.
+        assert max(on_demand) - min(on_demand) < 0.001
 
 
 def _run_montage(wf, n_requests):

@@ -34,6 +34,7 @@ from repro.sim.executor import ExecutionEnvironment
 from repro.sim.kernel import run_fast_kernel
 from repro.sweep.cache import SimCache
 from repro.util.units import MONTH
+from repro.workflow.generators import fork_join_workflow
 
 
 @pytest.fixture(scope="module")
@@ -203,6 +204,29 @@ class TestTrafficSampling:
             & ~sample.hit
         )
         assert window.n_requests == int(mask.sum())
+
+
+class TestTrafficSpecValidation:
+    @pytest.mark.parametrize(
+        "override,match",
+        [
+            ({"requests_per_month": float("nan")}, "requests_per_month"),
+            ({"horizon_months": float("inf")}, "horizon_months"),
+            ({"weight": float("nan")}, "mix weight"),
+            ({"zipf_exponent": float("nan")}, "zipf_exponent"),
+            ({"retention_months": float("nan")}, "retention_months"),
+            ({"bandwidth_bytes_per_sec": -1.0}, "bandwidth must be positive"),
+        ],
+        ids=["requests-nan", "horizon-inf", "weight-nan", "zipf-nan",
+             "retention-nan", "bandwidth-negative"],
+    )
+    def test_bad_value_rejected_at_construction(self, override, match):
+        wf = fork_join_workflow(2)  # 3 tasks
+        args = {"requests_per_month": 1_000.0, "horizon_months": 1.0}
+        args.update(override)
+        weight = args.pop("weight", 1.0)
+        with pytest.raises(ValueError, match=match):
+            TrafficSpec(mix=(MixComponent(wf, weight=weight),), **args)
 
 
 @pytest.fixture(scope="module")

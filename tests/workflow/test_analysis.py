@@ -2,6 +2,10 @@
 
 import pytest
 
+from repro.core.costs import compute_cost
+from repro.core.plans import ExecutionPlan
+from repro.core.pricing import AWS_2008
+from repro.sim.executor import simulate
 from repro.util.units import MBPS
 from repro.workflow.analysis import (
     communication_to_computation_ratio,
@@ -35,6 +39,24 @@ class TestCCR:
         slow = communication_to_computation_ratio(wf, 1 * MBPS)
         fast = communication_to_computation_ratio(wf, 10 * MBPS)
         assert slow == pytest.approx(10 * fast)
+
+    def test_montage_bandwidth_sensitivity(self, montage1):
+        # Sweeping the link instead of the file sizes shows the paper's
+        # data-intensity effect from the infrastructure side.
+        plan = ExecutionPlan.provisioned(8, "regular")
+        spans, totals = [], []
+        for mbps in (1.0, 10.0, 100.0, 1000.0):
+            result = simulate(
+                montage1, 8, "regular",
+                bandwidth_bytes_per_sec=mbps * MBPS, record_trace=False,
+            )
+            spans.append(result.makespan)
+            totals.append(compute_cost(result, AWS_2008, plan).total)
+        assert spans == sorted(spans, reverse=True)  # faster link, faster
+        assert totals == sorted(totals, reverse=True)
+        assert communication_to_computation_ratio(
+            montage1, 1.0 * MBPS
+        ) == pytest.approx(0.53, abs=1e-5)
 
     def test_zero_bandwidth_rejected(self):
         with pytest.raises(ValueError):
