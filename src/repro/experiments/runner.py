@@ -10,7 +10,8 @@ table of the paper's Section 6 and finishes in well under a minute.
 ``--extensions`` appends the ablation studies (billing granularity, VM
 overhead, fee sensitivity, link contention, failures, Monte Carlo
 failure distributions, scheduler, storage capacity, clustering) on the
-1° workload.
+1° workload.  Wall-clock timings (the service-scale study's) go to
+stderr, so stdout is byte-reproducible.
 """
 
 from __future__ import annotations
@@ -147,6 +148,8 @@ def _run_body(fast: bool, extensions: bool, emit, out: StringIO) -> str:
         for study in all_studies(montage_workflow(1.0)):
             emit()
             emit(study.as_table())
+            if study.timings:
+                print(study.timings, file=sys.stderr)
 
     # -------------------------------------------------- verification
     if fast:

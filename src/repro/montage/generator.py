@@ -53,24 +53,23 @@ __all__ = [
 ]
 
 def _jittered_runtimes(
-    profile: MontageProfile,
-    transformations: list[str],
-    jitter: float,
-    seed: int,
+    calibrated: np.ndarray, jitter: float, seed: int
 ) -> np.ndarray:
-    """Per-task runtimes, optionally perturbed but sum-preserving.
+    """Per-task runtimes from the ``calibrated`` vector, optionally
+    perturbed but sum-preserving.
 
-    With ``jitter == 0`` every task gets its calibrated type runtime.  With
-    ``jitter > 0`` each runtime is multiplied by ``exp(U(-jitter, jitter))``
-    and the whole vector rescaled so the total equals the calibrated total
-    exactly (keeping CPU cost pinned to the paper).
+    With ``jitter == 0`` every task keeps its calibrated type runtime.
+    With ``jitter > 0`` each runtime is multiplied by ``exp(U(-jitter,
+    jitter))`` and the whole vector rescaled so the total equals the
+    calibrated total exactly (keeping CPU cost pinned to the paper).
     """
-    base = np.array([profile.runtime(t) for t in transformations], dtype=float)
     if jitter == 0.0:
-        return base
+        return calibrated
     rng = np.random.default_rng(seed)
-    perturbed = base * np.exp(rng.uniform(-jitter, jitter, size=base.size))
-    return perturbed * (base.sum() / perturbed.sum())
+    perturbed = calibrated * np.exp(
+        rng.uniform(-jitter, jitter, size=calibrated.size)
+    )
+    return perturbed * (calibrated.sum() / perturbed.sum())
 
 
 #: Memoized unjittered default builds (no profile override, ``jitter ==
@@ -110,13 +109,16 @@ def montage_workflow(
     Jitter changes task runtimes only — task ids, files, sizes and edges
     are those of the unjittered build — so a jittered call without a
     ``profile`` is derived from the memoized unjittered base of its
-    degree: the plate shares the base's file set and topology, and the
-    fast kernel derives its lowering from the base's, so it carries only
-    its own runtime vector.  The result equals a from-scratch build
-    (same tasks, files and :meth:`~repro.workflow.dag.Workflow.fingerprint`)
-    and is a fresh, unshared instance.  On a 2-vCPU Xeon a 4° plate
-    builds in ~0.013 s this way against ~0.04 s from scratch (the
-    ``profile`` override path, and each degree's first base build).  A
+    degree: the plate shares the base's file set, consumer table
+    (copy-on-write) and topology, its tasks are trusted copies of the
+    base's with the new runtimes, and the fast kernel derives its
+    lowering from the base's, so it costs about its own runtime vector.
+    The result equals a from-scratch build (same tasks, files and
+    :meth:`~repro.workflow.dag.Workflow.fingerprint`) and is a fresh
+    instance that no mutation of the base can reach.  On a 2-vCPU Xeon
+    a 4° plate builds in ~0.004 s this way against ~0.04 s from scratch
+    (the ``profile`` override path, and each degree's first base
+    build).  A
     jittered plate lives only as long as its caller holds it —
     :class:`~repro.grid.GridPlan`,
     :func:`~repro.montage.campaign.campaign_plates` and a streamed sky
@@ -143,12 +145,11 @@ def montage_workflow(
     if jitter == 0.0:
         return _memoized_build(degree, name)
     base = _memoized_build(degree, None)
-    runtimes = _jittered_runtimes(
-        profile_for_degree(degree),
-        [t.transformation for t in base.tasks.values()],
-        jitter,
-        seed,
+    # The unjittered base carries the calibrated vector as its runtimes.
+    calibrated = np.fromiter(
+        (t.runtime for t in base.tasks.values()), float, len(base)
     )
+    runtimes = _jittered_runtimes(calibrated, jitter, seed)
     return base._with_runtimes(runtimes.tolist(), name or base.name)
 
 
@@ -200,7 +201,8 @@ def _build_montage_workflow(
         + ["mBackground"] * n
         + ["mImgtbl", "mAdd", "mShrink"]
     )
-    runtimes = _jittered_runtimes(prof, transformations, jitter, seed)
+    calibrated = np.array([prof.runtime(t) for t in transformations])
+    runtimes = _jittered_runtimes(calibrated, jitter, seed)
     runtime_iter = iter(runtimes.tolist())
 
     for i in range(n):

@@ -21,6 +21,7 @@ This module turns that remark into a working model:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,8 +51,11 @@ class ZipfPopularity:
     ) -> None:
         if n_regions < 1:
             raise ValueError(f"need at least one region, got {n_regions}")
-        if exponent < 0:
-            raise ValueError(f"negative Zipf exponent {exponent}")
+        # ``not 0 <= x < inf`` rejects NaN as well as the out-of-range.
+        if not 0 <= exponent < math.inf:
+            raise ValueError(
+                f"zipf exponent must be finite and >= 0, got {exponent}"
+            )
         self.n_regions = n_regions
         self.exponent = exponent
         weights = 1.0 / np.arange(1, n_regions + 1, dtype=float) ** exponent
@@ -85,8 +89,11 @@ def popularity_stream(
     seed: int = 0,
 ) -> list[RegionRequest]:
     """Poisson request stream over regions (deterministic per seed)."""
-    if requests_per_month <= 0 or horizon_months <= 0:
-        raise ValueError("rate and horizon must be positive")
+    # A NaN rate would never reach the horizon, so NaN must fail here.
+    for name, x in (("requests_per_month", requests_per_month),
+                    ("horizon_months", horizon_months)):
+        if not 0 < x < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {x}")
     rng = np.random.default_rng(seed)
     horizon = horizon_months * MONTH
     rate = requests_per_month / MONTH
@@ -192,10 +199,10 @@ def simulate_cache_policy(
     base data (CPU + data management, e.g. the paper's $2.21 for a 2°
     mosaic); a cache hit pays only the mosaic's outbound transfer.
     """
-    if retention_months < 0:
-        raise ValueError(f"negative retention {retention_months}")
-    if generation_cost < 0:
-        raise ValueError(f"negative generation cost {generation_cost}")
+    for name, x in (("retention_months", retention_months),
+                    ("generation_cost", generation_cost)):
+        if not 0 <= x < math.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {x}")
     cache = MosaicCache(
         mosaic_bytes=mosaic_bytes,
         retention_seconds=retention_months * MONTH,

@@ -13,7 +13,7 @@ fingerprint.  Jittered plates are not memoized: each is distinct, and a
 whole-sky stream would otherwise keep every plate alive; whoever reuses
 them (a grid plan, a campaign's plate tuple) holds them.  They are not
 rebuilt from scratch either: a plate is its degree's memoized base plus
-its own runtime vector (~0.013 s at 4°), and keeps that base alive
+its own runtime vector (~0.004 s at 4°), and keeps that base alive
 after :func:`clear_build_caches` drops it from the memo.
 
 Cached workflows are shared instances: treat them as immutable (use

@@ -138,6 +138,10 @@ class Workflow:
         self._producer: dict[str, str] = {}
         #: file name -> set of consuming task ids
         self._consumers: dict[str, set[str]] = {}
+        #: ``_consumers`` (the dict and its sets) may be shared with a
+        #: workflow made by or from :meth:`_with_runtimes`; the first
+        #: write copies it (see :meth:`_own_consumers`).
+        self._consumers_shared = False
         self._explicit_outputs: set[str] = set()
         self._version = 0
         # Derived caches, valid for ``_cache_version``: mutations only bump
@@ -154,8 +158,13 @@ class Workflow:
 
     def __getstate__(self) -> dict:
         # The base link would drag the whole base into every pickle, and
-        # the per-task parent/child/level caches are cheap to refill.
+        # the per-task parent/child/level caches are cheap to refill.  A
+        # shared consumer table is copied, so an unpickled workflow owns
+        # its sets even when its base travels in the same pickle.
         state = self.__dict__.copy()
+        if self._consumers_shared:
+            state["_consumers"] = self._copied_consumers()
+            state["_consumers_shared"] = False
         state["_base"] = None
         state["_level_cache"] = None
         state["_parents_cache"] = {}
@@ -187,7 +196,7 @@ class Workflow:
                 )
             return existing
         self._files[file.name] = file
-        self._consumers.setdefault(file.name, set())
+        self._own_consumers().setdefault(file.name, set())
         self._version += 1
         return file
 
@@ -206,11 +215,12 @@ class Workflow:
                     f"file {fname!r} produced by both "
                     f"{self._producer[fname]!r} and {task.task_id!r}"
                 )
+        consumers = self._own_consumers()
         self._tasks[task.task_id] = task
         for fname in task.outputs:
             self._producer[fname] = task.task_id
         for fname in task.inputs:
-            self._consumers[fname].add(task.task_id)
+            consumers[fname].add(task.task_id)
         self._version += 1
         return task
 
@@ -220,6 +230,18 @@ class Workflow:
             raise WorkflowValidationError(f"unknown file {file_name!r}")
         self._explicit_outputs.add(file_name)
         self._version += 1
+
+    def _copied_consumers(self) -> dict[str, set[str]]:
+        return dict(
+            zip(self._consumers, map(set.copy, self._consumers.values()))
+        )
+
+    def _own_consumers(self) -> dict[str, set[str]]:
+        """The consumer table, copied first if it is shared (copy-on-write)."""
+        if self._consumers_shared:
+            self._consumers = self._copied_consumers()
+            self._consumers_shared = False
+        return self._consumers
 
     def _sync_caches(self) -> None:
         """Drop the derived caches if the workflow changed since they were
@@ -497,28 +519,47 @@ class Workflow:
     ) -> "Workflow":
         """Copy with every task's runtime replaced, in task order.
 
-        The copy shares the immutable :class:`FileSpec` objects and the
-        task ``inputs``/``outputs`` tuples, gets its own file, producer,
-        consumer and output tables (so mutating it never touches this
-        workflow), and starts with this workflow's topological order,
-        levels and parent/child sets, which do not depend on runtimes.
-        Its fingerprint is computed afresh.  It records ``(self,
-        self.version)`` so the fast kernel can derive its lowering from
-        this workflow's while neither side has changed.
+        The vector is checked once: a wrong length raises ``ValueError``
+        and a non-finite or negative entry the
+        :class:`WorkflowValidationError` that building that :class:`Task`
+        raises.  The copy's tasks are then made without re-running
+        ``Task`` validation (each is its base task's fields with the new
+        runtime, equal and hash-equal to ``Task(...)``).  It shares the
+        immutable :class:`FileSpec` objects and task ``inputs``/``outputs``
+        tuples, gets its own file, producer and output tables, and shares
+        this workflow's consumer table copy-on-write: whichever side
+        first adds a file or task copies it, so mutating either never
+        touches the other.  It starts with this workflow's topological
+        order, levels and parent/child sets, which do not depend on
+        runtimes; its fingerprint is computed afresh.  It records
+        ``(self, self.version)`` so the fast kernel can derive its
+        lowering from this workflow's while neither side has changed.
         """
         self.validate()
+        runtimes = list(runtimes)
+        if not (
+            len(runtimes) == len(self._tasks)
+            and all(map(math.isfinite, runtimes))
+            and min(runtimes, default=0.0) >= 0
+        ):
+            # Build checked tasks until one fails: the same error, in the
+            # same order, that checked construction raises.
+            for t, r in zip(self._tasks.values(), runtimes, strict=True):
+                Task(t.task_id, r, t.inputs, t.outputs, t.transformation)
         wf = Workflow(name)
         wf._files = self._files.copy()
-        wf._tasks = {
-            t.task_id: Task(
-                t.task_id, runtime, t.inputs, t.outputs, t.transformation
-            )
-            for t, runtime in zip(self._tasks.values(), runtimes, strict=True)
-        }
+        new, set_state = object.__new__, object.__setattr__
+        tasks = {}
+        for (tid, t), runtime in zip(self._tasks.items(), runtimes):
+            task = new(Task)
+            state = t.__dict__.copy()
+            state["runtime"] = runtime
+            set_state(task, "__dict__", state)
+            tasks[tid] = task
+        wf._tasks = tasks
         wf._producer = self._producer.copy()
-        wf._consumers = dict(
-            zip(self._consumers, map(set.copy, self._consumers.values()))
-        )
+        wf._consumers = self._consumers
+        wf._consumers_shared = self._consumers_shared = True
         wf._explicit_outputs = self._explicit_outputs.copy()
         wf._topo_cache = self._topo_cache
         wf._level_cache = self._level_cache

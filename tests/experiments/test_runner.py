@@ -64,8 +64,12 @@ class TestFullRunner:
 
 
 class TestExtensionsFlag:
-    def test_extensions_section(self):
+    def test_extensions_section(self, capsys):
         report = run_all(fast=True, extensions=True)
         assert "Extension / ablation studies" in report
         assert "Billing-granularity ablation" in report
         assert "Task-clustering ablation" in report
+        # Wall-clock columns stay off the reproducible report.
+        assert "Service-at-scale ablation" in report
+        assert "speedup" not in report and "fluid wall" not in report
+        assert "Service-at-scale timings" in capsys.readouterr().err

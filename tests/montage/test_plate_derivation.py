@@ -9,6 +9,7 @@ between plates, and that pickling drops the link to the base.
 
 from __future__ import annotations
 
+import math
 import pickle
 
 import numpy as np
@@ -21,7 +22,7 @@ from repro.sim import simulate
 from repro.sim.kernel import _Lowering, _lowering
 from repro.sweep.builders import clear_build_caches
 from repro.sweep.cache import SimCache
-from repro.workflow.dag import FileSpec, Task
+from repro.workflow.dag import FileSpec, Task, WorkflowValidationError
 
 JITTER = 0.05
 BANDWIDTHS = (1.25e6, 1e7)
@@ -182,3 +183,169 @@ class TestPickling:
         serial = run_grid(plan, shards=2, workers=1, cache=SimCache())
         pooled = run_grid(plan, shards=2, workers=2, cache=SimCache())
         assert pooled.batch.tobytes() == serial.batch.tobytes()
+
+
+def checked_build(base, runtimes) -> dict:
+    """Every task rebuilt through ``Task(...)``: the checked construction
+    a derived plate's trusted copies must be indistinguishable from."""
+    return {
+        t.task_id: Task(t.task_id, r, t.inputs, t.outputs, t.transformation)
+        for t, r in zip(base.tasks.values(), runtimes, strict=True)
+    }
+
+
+def raised(fn, *args) -> tuple[type, str]:
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+def calibrated(base) -> list[float]:
+    return [t.runtime for t in base.tasks.values()]
+
+
+class TestRuntimeVectorChecks:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    @pytest.mark.parametrize("where", [0, 57, -1])
+    def test_bad_entry_raises_what_task_raises(self, bad, where):
+        base = montage_workflow(1.0)
+        runtimes = calibrated(base)
+        runtimes[where] = bad
+        got = raised(base._with_runtimes, runtimes, "p")
+        assert got == raised(checked_build, base, runtimes)
+        tid = list(base.tasks)[where]
+        kind = "negative" if bad == -1.0 else "non-finite"
+        assert got == (WorkflowValidationError,
+                       f"task {tid!r} has {kind} runtime {bad}")
+
+    @pytest.mark.parametrize("change,message", [
+        (lambda r: r[:-1], "zip() argument 2 is shorter than argument 1"),
+        (lambda r: [], "zip() argument 2 is shorter than argument 1"),
+        (lambda r: r + [1.0], "zip() argument 2 is longer than argument 1"),
+        (lambda r: r + [-1.0], "zip() argument 2 is longer than argument 1"),
+    ])
+    def test_wrong_length_raises_value_error(self, change, message):
+        base = montage_workflow(1.0)
+        runtimes = change(calibrated(base))
+        got = raised(base._with_runtimes, runtimes, "p")
+        assert got == raised(checked_build, base, runtimes)
+        assert got == (ValueError, message)
+
+    def test_bad_entry_in_a_short_vector_names_the_entry(self):
+        base = montage_workflow(1.0)
+        runtimes = calibrated(base)[:-1]
+        runtimes[3] = math.nan
+        got = raised(base._with_runtimes, runtimes, "p")
+        assert got == raised(checked_build, base, runtimes)
+        assert got[0] is WorkflowValidationError
+
+    def test_failed_derivation_leaves_base_unshared(self):
+        base = _build_montage_workflow(1.0, None, 0.0, 0, "private-base")
+        with pytest.raises(WorkflowValidationError):
+            base._with_runtimes([math.nan] * len(base), "p")
+        assert not base._consumers_shared
+
+    def test_any_iterable_is_accepted(self):
+        ref = scratch(1.0, 8)
+        base = montage_workflow(1.0)
+        got = base._with_runtimes(iter(calibrated(ref)), ref.name)
+        assert got.fingerprint() == ref.fingerprint()
+
+
+class TestTrustedTaskCopies:
+    @pytest.mark.parametrize("degree", [1.0, 4.0])
+    def test_copies_are_tasks_equal_and_hash_equal(self, degree):
+        got = plate(degree, 61)
+        want = checked_build(got, calibrated(got))
+        assert list(got.tasks) == list(want)
+        for tid, task in got.tasks.items():
+            assert type(task) is Task
+            assert task == want[tid]
+            assert hash(task) == hash(want[tid])
+            assert repr(task) == repr(want[tid])
+        assert set(got.tasks.values()) == set(want.values())
+
+    def test_copies_are_frozen_and_independent(self):
+        base = montage_workflow(1.0)
+        got = plate(1.0, 62)
+        task = got.task("mAdd")
+        with pytest.raises(AttributeError):
+            task.runtime = 1.0
+        assert task.runtime != base.task("mAdd").runtime
+        assert task.inputs is base.task("mAdd").inputs
+        assert vars(task) is not vars(base.task("mAdd"))
+
+
+class TestSharedConsumers:
+    """The consumer table is shared with the base until either side
+    writes; these checks read it directly, not through the lowering."""
+
+    def structure(self, wf) -> tuple:
+        # Read fresh: ``children`` is filled here for the first time.
+        return ({f: wf.consumers_of(f) for f in wf.files},
+                {t: wf.children(t) for t in wf.tasks})
+
+    def mutate(self, wf) -> None:
+        wf.add_file(FileSpec("late.fits", 1.0))
+        wf.add_task(Task("mLate", 1.0, ("mosaic.fits", "images.tbl"),
+                         ("late.fits",)))
+
+    def test_derivation_shares_instead_of_copying(self):
+        base = _build_montage_workflow(1.0, None, 0.0, 0, "private-base")
+        a = base._with_runtimes(calibrated(base), "a")
+        b = base._with_runtimes(calibrated(base), "b")
+        assert a._consumers is base._consumers is b._consumers
+        assert a._consumers_shared and base._consumers_shared
+
+    def test_mutating_the_base_leaves_the_plate_alone(self):
+        base = _build_montage_workflow(1.0, None, 0.0, 0, "private-base")
+        ref = scratch(1.0, 63)
+        derived = base._with_runtimes(calibrated(ref), "p")
+        self.mutate(base)
+        assert base.consumers_of("mosaic.fits") == {"mShrink", "mLate"}
+        assert "mLate" in base.children("mAdd")
+        assert derived._consumers is not base._consumers
+        assert self.structure(derived) == self.structure(ref)
+        assert derived.consumers_of("mosaic.fits") == {"mShrink"}
+        assert "mLate" not in derived.children("mImgtbl")
+
+    @pytest.mark.parametrize("sibling", [False, True])
+    def test_mutating_the_plate_leaves_base_and_siblings_alone(self, sibling):
+        base = _build_montage_workflow(1.0, None, 0.0, 0, "private-base")
+        ref = _build_montage_workflow(1.0, None, 0.0, 0, "ref")
+        a = base._with_runtimes(calibrated(base), "a")
+        b = (a if sibling else base)._with_runtimes(calibrated(base), "b")
+        self.mutate(a)
+        assert a.consumers_of("mosaic.fits") == {"mShrink", "mLate"}
+        assert a.children("mAdd") == {"mShrink", "mLate"}
+        for wf in (base, b):
+            assert wf._consumers is not a._consumers
+            assert self.structure(wf) == self.structure(ref)
+
+    def test_mutating_twice_copies_once(self):
+        base = _build_montage_workflow(1.0, None, 0.0, 0, "private-base")
+        base._with_runtimes(calibrated(base), "p")
+        self.mutate(base)
+        owned = base._consumers
+        base.add_file(FileSpec("later.fits", 1.0))
+        assert base._consumers is owned and not base._consumers_shared
+
+
+class TestPickledPlateOwnsItsConsumers:
+    def test_unpickled_plate_is_unshared(self):
+        got = plate(1.0, 64)
+        back = pickle.loads(pickle.dumps(got))
+        assert not back._consumers_shared
+        assert back._consumers == got._consumers
+        TestSharedConsumers().mutate(back)
+        assert got.consumers_of("mosaic.fits") == {"mShrink"}
+        assert montage_workflow(1.0).consumers_of("mosaic.fits") == {"mShrink"}
+
+    def test_base_and_plate_in_one_pickle_do_not_share(self):
+        base = _build_montage_workflow(1.0, None, 0.0, 0, "private-base")
+        derived = base._with_runtimes(calibrated(base), "p")
+        base2, derived2 = pickle.loads(pickle.dumps((base, derived)))
+        assert base2._consumers is not derived2._consumers
+        TestSharedConsumers().mutate(base2)
+        assert derived2.consumers_of("mosaic.fits") == {"mShrink"}
+        assert derived2.fingerprint() == derived.fingerprint()

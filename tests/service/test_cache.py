@@ -1,5 +1,7 @@
 """Mosaic-cache tests (the paper's store-vs-recompute recommendation)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,11 @@ class TestZipf:
         with pytest.raises(ValueError):
             ZipfPopularity(5).sample(-1)
 
+    @pytest.mark.parametrize("exponent", [math.nan, math.inf, -math.inf])
+    def test_non_finite_exponent_rejected(self, exponent):
+        with pytest.raises(ValueError, match="zipf exponent"):
+            ZipfPopularity(5, exponent=exponent)
+
 
 class TestPopularityStream:
     def test_deterministic_and_time_ordered(self):
@@ -61,6 +68,14 @@ class TestPopularityStream:
         times = [r.time for r in a]
         assert times == sorted(times)
         assert all(t < 6.0 * MONTH for t in times)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("name", ["requests_per_month", "horizon_months"])
+    def test_bad_rate_or_horizon_rejected(self, name, bad):
+        # A NaN rate once looped forever: NaN gaps never reach the horizon.
+        args = {"requests_per_month": 100.0, "horizon_months": 1.0, name: bad}
+        with pytest.raises(ValueError, match=name):
+            popularity_stream(ZipfPopularity(20, seed=2), seed=1, **args)
 
     def test_volume_near_rate(self):
         pop = ZipfPopularity(20, seed=2)
@@ -162,6 +177,16 @@ class TestPolicySimulation:
             simulate_cache_policy([], 1.0, -1.0, GEN_COST, MOSAIC)
         with pytest.raises(ValueError):
             simulate_cache_policy([], 1.0, 1.0, -GEN_COST, MOSAIC)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    @pytest.mark.parametrize("name", ["retention_months", "generation_cost"])
+    def test_non_finite_or_negative_rejected(self, name, bad):
+        pop = ZipfPopularity(20, seed=2)
+        stream = popularity_stream(pop, 100.0, 1.0, seed=1)
+        args = {"retention_months": 1.0, "generation_cost": GEN_COST,
+                name: bad}
+        with pytest.raises(ValueError, match=name):
+            simulate_cache_policy(stream, 1.0, mosaic_bytes=MOSAIC, **args)
 
     def test_unpopular_stream_prefers_no_cache(self):
         """Uniform traffic over many regions rarely repeats within the
