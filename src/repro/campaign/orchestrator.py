@@ -61,6 +61,8 @@ from repro.grid.engine import run_grid
 from repro.grid.plan import GridPlan
 from repro.sim.datamanager import DataMode
 from repro.sim.executor import DEFAULT_BANDWIDTH
+from repro.sim.failures import check_failure_parameters
+from repro.sim.resources import check_bandwidth, processor_count
 from repro.sweep.cache import SimCache, default_cache
 from repro.workflow.dag import Workflow
 
@@ -152,6 +154,11 @@ class CampaignConfig:
     def __post_init__(self) -> None:
         if isinstance(self.data_mode, DataMode):
             object.__setattr__(self, "data_mode", self.data_mode.value)
+        # Checked here, before run_campaign writes a provenance header
+        # that a corrected re-run on the same log would then mismatch.
+        processor_count(self.n_processors)
+        check_failure_parameters((self.probability,), self.max_task_retries)
+        check_bandwidth(self.bandwidth_bytes_per_sec)
         if self.n_pools < 1:
             raise ValueError(f"need at least one pool, got {self.n_pools}")
         if self.max_plate_attempts < 1:

@@ -32,6 +32,7 @@ from repro.core.costs import CostBreakdown
 from repro.core.plans import ExecutionPlan, ProvisioningMode
 from repro.core.pricing import AWS_2008, PricingModel
 from repro.sim.executor import DEFAULT_BANDWIDTH
+from repro.sim.resources import check_bandwidth, processor_count
 from repro.workflow.analysis import critical_path_length
 from repro.workflow.dag import Workflow
 from repro.workflow.dataflow import predict_transfers
@@ -54,8 +55,8 @@ def makespan_bounds(
     within their summed transfer time (a sum is conservative for both the
     dedicated and the contended link models).
     """
-    if n_processors < 1:
-        raise ValueError(f"need at least one processor, got {n_processors}")
+    processor_count(n_processors)
+    check_bandwidth(bandwidth_bytes_per_sec)
     work = workflow.total_runtime()
     cp = critical_path_length(workflow)
 

@@ -22,6 +22,7 @@ import enum
 from dataclasses import dataclass
 
 from repro.sim.datamanager import DataMode
+from repro.sim.resources import processor_count
 
 __all__ = ["ProvisioningMode", "VMOverhead", "ExecutionPlan"]
 
@@ -88,10 +89,7 @@ class ExecutionPlan:
     vm_overhead: VMOverhead = NO_OVERHEAD
 
     def __post_init__(self) -> None:
-        if self.n_processors < 1:
-            raise ValueError(
-                f"need at least one processor, got {self.n_processors}"
-            )
+        processor_count(self.n_processors)
 
     @staticmethod
     def provisioned(

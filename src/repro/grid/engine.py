@@ -67,8 +67,6 @@ def plan_shards(
     are dropped — the schedule only carries real work.
     """
     n = DEFAULT_SHARDS if shards is None else shards
-    if n < 1:
-        raise ValueError(f"need at least one shard, got {n}")
     buckets: dict[int, list[int]] = {}
     for i, fp in enumerate(plan.plate_fingerprints()):
         buckets.setdefault(shard_of(fp, n), []).append(i)

@@ -25,13 +25,10 @@ import hashlib
 from dataclasses import dataclass
 
 from repro.sim.datamanager import DataMode
-from repro.sim.executor import (
-    DEFAULT_BANDWIDTH,
-    ExecutionEnvironment,
-    check_bandwidth,
-    processor_count,
-)
+from repro.sim.executor import DEFAULT_BANDWIDTH, ExecutionEnvironment
+from repro.sim.failures import check_failure_parameters
 from repro.sim.kernel import KernelConfig
+from repro.sim.resources import check_bandwidth, processor_count
 from repro.sim.scheduler import ordering_by_name
 from repro.workflow.dag import Workflow
 
@@ -70,20 +67,9 @@ class GridPlan:
             raise ValueError(
                 "a grid needs at least one probability and one seed"
             )
-        for p in self.processors:
-            if p < 1:
-                raise ValueError(f"need at least one processor, got {p}")
-        for prob in self.probabilities:
-            if not 0.0 <= prob < 1.0:
-                raise ValueError(
-                    f"failure probability must be in [0, 1); got {prob}"
-                )
-        if self.max_retries < 0:
-            raise ValueError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        # Fail fast on bad bandwidths and unknown modes/orderings at
+        # Fail fast on bad parameters and unknown modes/orderings at
         # plan-construction time, not inside a shard worker.
+        check_failure_parameters(self.probabilities, self.max_retries)
         check_bandwidth(self.bandwidth_bytes_per_sec)
         DataMode(self.data_mode)
         ordering_by_name(self.ordering)

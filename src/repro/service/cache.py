@@ -21,12 +21,12 @@ This module turns that remark into a working model:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.pricing import AWS_2008, PricingModel
+from repro.sim.resources import check_finite
 from repro.util.units import MONTH
 
 __all__ = [
@@ -51,11 +51,7 @@ class ZipfPopularity:
     ) -> None:
         if n_regions < 1:
             raise ValueError(f"need at least one region, got {n_regions}")
-        # ``not 0 <= x < inf`` rejects NaN as well as the out-of-range.
-        if not 0 <= exponent < math.inf:
-            raise ValueError(
-                f"zipf exponent must be finite and >= 0, got {exponent}"
-            )
+        check_finite("zipf exponent", exponent)
         self.n_regions = n_regions
         self.exponent = exponent
         weights = 1.0 / np.arange(1, n_regions + 1, dtype=float) ** exponent
@@ -90,10 +86,8 @@ def popularity_stream(
 ) -> list[RegionRequest]:
     """Poisson request stream over regions (deterministic per seed)."""
     # A NaN rate would never reach the horizon, so NaN must fail here.
-    for name, x in (("requests_per_month", requests_per_month),
-                    ("horizon_months", horizon_months)):
-        if not 0 < x < math.inf:
-            raise ValueError(f"{name} must be finite and > 0, got {x}")
+    check_finite("requests_per_month", requests_per_month, positive=True)
+    check_finite("horizon_months", horizon_months, positive=True)
     rng = np.random.default_rng(seed)
     horizon = horizon_months * MONTH
     rate = requests_per_month / MONTH
@@ -199,10 +193,12 @@ def simulate_cache_policy(
     base data (CPU + data management, e.g. the paper's $2.21 for a 2°
     mosaic); a cache hit pays only the mosaic's outbound transfer.
     """
-    for name, x in (("retention_months", retention_months),
-                    ("generation_cost", generation_cost)):
-        if not 0 <= x < math.inf:
-            raise ValueError(f"{name} must be finite and >= 0, got {x}")
+    # A NaN or non-positive horizon would silently drop the residency
+    # still to bill at the horizon; a NaN size would give a NaN total.
+    check_finite("horizon_months", horizon_months, positive=True)
+    check_finite("retention_months", retention_months)
+    check_finite("generation_cost", generation_cost)
+    check_finite("mosaic_bytes", mosaic_bytes)
     cache = MosaicCache(
         mosaic_bytes=mosaic_bytes,
         retention_seconds=retention_months * MONTH,

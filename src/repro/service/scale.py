@@ -35,7 +35,6 @@ windows through the event-based simulator and bounds the error (see the
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -47,7 +46,8 @@ from repro.montage.generator import montage_workflow
 from repro.service.arrivals import ServiceRequest, poisson_arrival_array
 from repro.service.simulator import ResponseStats, ServiceSimulator
 from repro.service.summaries import ClassSummary, summarize_mix
-from repro.sim.executor import DEFAULT_BANDWIDTH, check_bandwidth
+from repro.sim.executor import DEFAULT_BANDWIDTH
+from repro.sim.resources import check_bandwidth, check_finite, processor_count
 from repro.sweep.cache import SimCache
 from repro.util.units import MONTH
 from repro.workflow.dag import Workflow
@@ -85,11 +85,7 @@ class MixComponent:
     weight: float
 
     def __post_init__(self) -> None:
-        # ``not 0 < x < inf`` rejects NaN as well as the out-of-range.
-        if not 0 < self.weight < math.inf:
-            raise ValueError(
-                f"mix weight must be finite and > 0, got {self.weight}"
-            )
+        check_finite("mix weight", self.weight, positive=True)
 
 
 @dataclass(frozen=True)
@@ -107,15 +103,10 @@ class TrafficSpec:
     bandwidth_bytes_per_sec: float = DEFAULT_BANDWIDTH
 
     def __post_init__(self) -> None:
-        # The chained tests reject NaN as well as the out-of-range.
         for name in ("requests_per_month", "horizon_months"):
-            x = getattr(self, name)
-            if not 0 < x < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {x}")
+            check_finite(name, getattr(self, name), positive=True)
         for name in ("zipf_exponent", "retention_months"):
-            x = getattr(self, name)
-            if not 0 <= x < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {x}")
+            check_finite(name, getattr(self, name))
         if not self.mix:
             raise ValueError("need at least one mix component")
         if self.n_regions < 1:
@@ -482,13 +473,8 @@ class FluidServiceEngine:
         pricing: PricingModel = AWS_2008,
         cache: SimCache | None = None,
     ) -> None:
-        if n_processors < 1:
-            raise ValueError(
-                f"need at least one processor, got {n_processors}"
-            )
-        if epoch_seconds <= 0:
-            raise ValueError("epoch_seconds must be positive")
-        self.n_processors = int(n_processors)
+        self.n_processors = processor_count(n_processors)
+        check_finite("epoch_seconds", epoch_seconds, positive=True)
         self.epoch_seconds = float(epoch_seconds)
         self.pricing = pricing
         self.cache = cache

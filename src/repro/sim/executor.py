@@ -15,15 +15,21 @@ harness, the examples and most tests.
 from __future__ import annotations
 
 import heapq
-import math
-import operator
 from dataclasses import dataclass
 from itertools import count
 
 from repro.sim.datamanager import DataManager, DataMode, make_data_manager
 from repro.sim.engine import SimulationEngine
 from repro.sim.failures import FailureModel
-from repro.sim.resources import NetworkLink, ProcessorPool, Storage
+from repro.sim.resources import (
+    NetworkLink,
+    ProcessorPool,
+    Storage,
+    check_bandwidth,
+    check_capacity,
+    check_finite,
+    processor_count,
+)
 from repro.sim.results import SimulationResult, TaskRecord, TransferRecord
 from repro.sim.scheduler import FIFO_ORDER, TaskOrdering
 from repro.util.units import MBPS
@@ -33,31 +39,6 @@ __all__ = ["ExecutionEnvironment", "WorkflowExecutor", "simulate"]
 
 #: The paper's fixed user<->storage bandwidth: 10 Mbps.
 DEFAULT_BANDWIDTH = 10.0 * MBPS
-
-
-def processor_count(n) -> int:
-    """``n`` as an ``int``; ``ValueError`` unless it is a non-bool integer.
-
-    A float count would split the engines: ``ProcessorPool`` truncates
-    it, while the fast kernel's float ``free`` never reaches 0 and so
-    runs an unlimited pool.
-    """
-    if not isinstance(n, bool):
-        try:
-            return operator.index(n)
-        except TypeError:
-            pass
-    raise ValueError(f"n_processors must be an integer, got {n}")
-
-
-def check_bandwidth(b) -> None:
-    """``ValueError`` unless the link bandwidth ``b`` is ``> 0``.
-
-    Written as ``not b > 0`` so NaN is rejected too: every backend sees
-    the same error instead of a deadlock or a negative makespan.
-    """
-    if not b > 0:
-        raise ValueError(f"bandwidth must be positive, got {b}")
 
 
 @dataclass(frozen=True)
@@ -118,21 +99,13 @@ class ExecutionEnvironment:
     record_trace: bool = True
 
     def __post_init__(self) -> None:
-        # The ``>= 1`` check stays at run time, on every backend.
+        # Every backend runs only environments that pass these rules (an
+        # infinite overhead or boot time would split the engines).
         processor_count(self.n_processors)
         check_bandwidth(self.bandwidth_bytes_per_sec)
-        capacity = self.storage_capacity_bytes
-        if capacity is not None and not capacity > 0:
-            raise ValueError(
-                f"capacity must be positive or None, got {capacity}"
-            )
-        # The chained test rejects NaN and +inf as well as negatives: an
-        # infinite overhead or boot time deadlocks the fast kernel while
-        # the event engine returns an infinite makespan.
-        for name in ("task_overhead_seconds", "compute_ready_seconds"):
-            x = getattr(self, name)
-            if not 0 <= x < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {x}")
+        check_capacity(self.storage_capacity_bytes)
+        check_finite("task_overhead_seconds", self.task_overhead_seconds)
+        check_finite("compute_ready_seconds", self.compute_ready_seconds)
 
 
 # Task lifecycle states.

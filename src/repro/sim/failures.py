@@ -19,6 +19,8 @@ bit-identical to the event engine for any (probability, seed) pair.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 __all__ = ["FailureModel", "WorkflowAbortedError"]
@@ -26,6 +28,21 @@ __all__ = ["FailureModel", "WorkflowAbortedError"]
 
 class WorkflowAbortedError(RuntimeError):
     """A task exhausted its retry budget; the execution cannot complete."""
+
+
+def check_failure_parameters(probabilities, max_retries) -> None:
+    """``ValueError`` unless every probability is in ``[0, 1)`` (not NaN)
+    and ``max_retries`` is a non-bool integer ``>= 0`` (a NaN budget
+    would mean unlimited retries)."""
+    for p in probabilities:
+        if not 0.0 <= p < 1.0:
+            raise ValueError(f"failure probability must be in [0, 1); got {p}")
+    if isinstance(max_retries, bool) or not (
+        isinstance(max_retries, numbers.Integral) and max_retries >= 0
+    ):
+        raise ValueError(
+            f"max_retries must be an integer >= 0, got {max_retries}"
+        )
 
 
 class FailureModel:
@@ -37,13 +54,7 @@ class FailureModel:
         seed: int = 0,
         max_retries: int = 10,
     ) -> None:
-        if not 0.0 <= task_failure_probability < 1.0:
-            raise ValueError(
-                "failure probability must be in [0, 1); got "
-                f"{task_failure_probability}"
-            )
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
+        check_failure_parameters((task_failure_probability,), max_retries)
         self.task_failure_probability = task_failure_probability
         self.max_retries = max_retries
         self._rng = np.random.default_rng(seed)

@@ -104,7 +104,11 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from repro.sim.datamanager import DataMode
-from repro.sim.failures import FailureModel, WorkflowAbortedError
+from repro.sim.failures import (
+    FailureModel,
+    WorkflowAbortedError,
+    check_failure_parameters,
+)
 from repro.sim.results import SimulationResult, TaskRecord, TransferRecord
 from repro.sim.scheduler import FIFO_ORDER, TaskOrdering
 from repro.util.curve import StepCurve
@@ -490,10 +494,6 @@ def run_fast_kernel(
     """
     if isinstance(data_mode, str):
         data_mode = DataMode(data_mode)
-    if environment.n_processors < 1:
-        raise ValueError(
-            f"need at least one processor, got {environment.n_processors}"
-        )
     low = _lowering(workflow)
     fail = _failure_hook(low, failures)
     tr_dur = (low.sizes_arr / environment.bandwidth_bytes_per_sec).tolist()
@@ -601,10 +601,6 @@ def run_fast_kernel_batch(
         mode = cfg.data_mode
         if isinstance(mode, str):
             mode = DataMode(mode)
-        if env.n_processors < 1:
-            raise ValueError(
-                f"need at least one processor, got {env.n_processors}"
-            )
         if columnar and env.record_trace:
             env = replace(env, record_trace=False)
         result = _run_routed(
@@ -1864,17 +1860,7 @@ def run_monte_carlo(
     mode = config.data_mode
     if isinstance(mode, str):
         mode = DataMode(mode)
-    if env.n_processors < 1:
-        raise ValueError(
-            f"need at least one processor, got {env.n_processors}"
-        )
-    for p in probabilities:
-        if not 0.0 <= p < 1.0:
-            raise ValueError(
-                f"failure probability must be in [0, 1); got {p}"
-            )
-    if max_retries < 0:
-        raise ValueError(f"max_retries must be >= 0, got {max_retries}")
+    check_failure_parameters(probabilities, max_retries)
     columnar = out is not None
     if (summary_only or columnar) and env.record_trace:
         env = replace(env, record_trace=False)

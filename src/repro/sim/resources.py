@@ -9,11 +9,58 @@ the storage resource over which all stage-in/stage-out traffic flows.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 from repro.util.curve import StepCurve
 
 __all__ = ["ProcessorPool", "Storage", "NetworkLink", "TransferDirection"]
+
+
+# The parameter rules: each is written once, here, and every entry point
+# that takes the parameter calls it.  ``not 0 < x`` also rejects NaN.
+
+
+def processor_count(n) -> int:
+    """``n`` as an ``int``; ``ValueError`` unless it is an integer ``>= 1``.
+
+    Bools and floats are rejected: the event pool would truncate a float
+    while the fast kernel's float ``free`` never reaches 0.
+    """
+    if not isinstance(n, bool):
+        try:
+            count = operator.index(n)
+        except TypeError:
+            pass
+        else:
+            if count < 1:
+                raise ValueError(f"need at least one processor, got {n}")
+            return count
+    raise ValueError(f"n_processors must be an integer, got {n}")
+
+
+def check_bandwidth(b) -> None:
+    """``ValueError`` unless ``b > 0``; ``+inf`` means free transfers."""
+    if not b > 0:
+        raise ValueError(f"bandwidth must be positive, got {b}")
+
+
+def check_capacity(capacity) -> None:
+    """``ValueError`` unless ``capacity`` is finite and ``> 0``, or ``None``
+    (the one spelling of the paper's infinite storage)."""
+    if capacity is not None and not 0 < capacity < math.inf:
+        raise ValueError(f"capacity must be positive or None, got {capacity}")
+
+
+def check_finite(name: str, x, *, positive: bool = False) -> None:
+    """``ValueError`` naming ``name`` unless ``x`` is finite and ``>= 0``
+    (``> 0`` if ``positive``)."""
+    if positive:
+        if not 0 < x < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {x}")
+    elif not 0 <= x < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {x}")
 
 
 class ProcessorPool:
@@ -29,9 +76,7 @@ class ProcessorPool:
     __slots__ = ("n_processors", "_busy", "busy_curve", "_release_subscribers")
 
     def __init__(self, n_processors: int, track_curve: bool = True) -> None:
-        if n_processors < 1:
-            raise ValueError(f"need at least one processor, got {n_processors}")
-        self.n_processors = int(n_processors)
+        self.n_processors = processor_count(n_processors)
         self._busy = 0
         self.busy_curve = StepCurve(0.0) if track_curve else None
         #: callbacks invoked after each release, in subscription order —
@@ -112,10 +157,7 @@ class Storage:
     """
 
     def __init__(self, capacity_bytes: float | None = None) -> None:
-        if capacity_bytes is not None and capacity_bytes <= 0:
-            raise ValueError(
-                f"capacity must be positive or None, got {capacity_bytes}"
-            )
+        check_capacity(capacity_bytes)
         self.capacity_bytes = capacity_bytes
         self._objects: dict[object, float] = {}
         self._reserved = 0.0
@@ -237,10 +279,7 @@ class NetworkLink:
     def __init__(
         self, bandwidth_bytes_per_sec: float, contended: bool = False
     ) -> None:
-        if bandwidth_bytes_per_sec <= 0:
-            raise ValueError(
-                f"bandwidth must be positive, got {bandwidth_bytes_per_sec}"
-            )
+        check_bandwidth(bandwidth_bytes_per_sec)
         self.bandwidth = float(bandwidth_bytes_per_sec)
         self.contended = bool(contended)
         self._busy_until = 0.0

@@ -28,7 +28,7 @@ from repro.sim.executor import (
     ExecutionEnvironment,
     simulate,
 )
-from repro.sim.failures import FailureModel
+from repro.sim.failures import FailureModel, check_failure_parameters
 from repro.sim.kernel import KernelConfig, resolve_kernel
 from repro.sim.results import SimulationResult
 from repro.sim.scheduler import ordering_by_name
@@ -49,6 +49,11 @@ class FailureSpec:
     task_failure_probability: float
     seed: int = 0
     max_retries: int = 10
+
+    def __post_init__(self) -> None:
+        check_failure_parameters(
+            (self.task_failure_probability,), self.max_retries
+        )
 
     def build(self) -> FailureModel:
         return FailureModel(

@@ -41,8 +41,10 @@ def communication_to_computation_ratio(
     Defined in Section 6 of the paper: total file bytes divided by the
     reference bandwidth, over total task runtime.
     """
-    if bandwidth <= 0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
+    # Imported lazily: the sim layer sits above the workflow layer.
+    from repro.sim.resources import check_bandwidth
+
+    check_bandwidth(bandwidth)
     runtime = workflow.total_runtime()
     if runtime == 0:
         raise ValueError("CCR undefined for a workflow with zero total runtime")

@@ -152,6 +152,8 @@ class Workflow:
         self._parents_cache: dict[str, frozenset[str]] = {}
         self._children_cache: dict[str, frozenset[str]] = {}
         self._fingerprint_cache: str | None = None
+        #: :meth:`validate` passed at ``_cache_version``.
+        self._validated = False
         #: ``(base, base.version)`` for a workflow made by
         #: :meth:`_with_runtimes`, else ``None``; not pickled.
         self._base: tuple[Workflow, int] | None = None
@@ -254,6 +256,7 @@ class Workflow:
             self._parents_cache = {}
             self._children_cache = {}
             self._fingerprint_cache = None
+            self._validated = False
             self._cache_version = self._version
 
     # ------------------------------------------------------------------ #
@@ -444,13 +447,18 @@ class Workflow:
         return order
 
     def validate(self) -> None:
-        """Check global invariants (acyclicity, file wiring)."""
+        """Check global invariants (acyclicity, file wiring); a pass is
+        remembered until the next mutation."""
+        self._sync_caches()
+        if self._validated:
+            return
         self.topological_order()
         for fname, consumers in self._consumers.items():
             if fname not in self._producer and not consumers:
                 raise WorkflowValidationError(
                     f"file {fname!r} is neither produced nor consumed"
                 )
+        self._validated = True
 
     def levels(self) -> dict[str, int]:
         """Task level per the paper: 1 for roots, else 1 + max parent level."""
@@ -530,10 +538,10 @@ class Workflow:
         this workflow's consumer table copy-on-write: whichever side
         first adds a file or task copies it, so mutating either never
         touches the other.  It starts with this workflow's topological
-        order, levels and parent/child sets, which do not depend on
-        runtimes; its fingerprint is computed afresh.  It records
-        ``(self, self.version)`` so the fast kernel can derive its
-        lowering from this workflow's while neither side has changed.
+        order, levels, parent/child sets and :meth:`validate` pass, which
+        do not depend on runtimes; its fingerprint is computed afresh.
+        It records ``(self, self.version)`` so the fast kernel can derive
+        its lowering from this workflow's while neither side has changed.
         """
         self.validate()
         runtimes = list(runtimes)
@@ -565,6 +573,7 @@ class Workflow:
         wf._level_cache = self._level_cache
         wf._parents_cache = self._parents_cache.copy()
         wf._children_cache = self._children_cache.copy()
+        wf._validated = True
         wf._base = (self, self._version)
         return wf
 

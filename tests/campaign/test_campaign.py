@@ -11,6 +11,7 @@ append, checkpointed resume executing only the missing plates, and the
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -84,6 +85,37 @@ class TestConfig:
             CampaignConfig(max_plate_attempts=0)
         with pytest.raises(ValueError, match="cost_budget"):
             CampaignConfig(cost_budget=-1.0)
+
+    @pytest.mark.parametrize(
+        ("overrides", "message"),
+        [
+            ({"probability": 1.5}, "failure probability must be in"),
+            ({"probability": math.nan}, "failure probability must be in"),
+            ({"max_task_retries": -1}, "max_retries must be"),
+            ({"n_processors": 0}, "need at least one processor"),
+            ({"n_processors": 2.5}, "n_processors must be an integer"),
+            ({"bandwidth_bytes_per_sec": -1.0}, "bandwidth must be positive"),
+        ],
+        ids=["p1.5", "p-nan", "retries-1", "P0", "P2.5", "bw-1"],
+    )
+    def test_bad_run_parameters_rejected_before_the_log(
+        self, tmp_path, overrides, message
+    ):
+        # Checked only inside the run, these wrote the log's header line
+        # first, and a corrected re-run on the same log then failed with
+        # ProvenanceMismatchError at line 1.
+        log_path = tmp_path / "campaign.jsonl"
+        p = plates(1)
+        with pytest.raises(ValueError, match=message):
+            run_campaign(
+                p, "sweep", config(**overrides), cache=SimCache(),
+                log=ProvenanceLog(log_path),
+            )
+        assert not log_path.exists() or log_path.read_bytes() == b""
+        result = run_campaign(
+            p, "sweep", config(), cache=SimCache(), log=ProvenanceLog(log_path)
+        )
+        assert result.n_completed == 1
 
     def test_fingerprint_sensitivity(self):
         p = plates(2)

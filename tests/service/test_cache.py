@@ -188,6 +188,28 @@ class TestPolicySimulation:
         with pytest.raises(ValueError, match=name):
             simulate_cache_policy(stream, 1.0, mosaic_bytes=MOSAIC, **args)
 
+    @pytest.mark.parametrize(
+        ("name", "bad", "message"),
+        [
+            ("horizon_months", math.nan, "finite and > 0"),
+            ("horizon_months", -5.0, "finite and > 0"),
+            ("mosaic_bytes", math.nan, "finite and >= 0"),
+            ("mosaic_bytes", -1.0, "finite and >= 0"),
+        ],
+        ids=["horizon-nan", "horizon-5", "mosaic-nan", "mosaic-1"],
+    )
+    def test_bad_horizon_or_mosaic_size_rejected(self, name, bad, message):
+        # Unchecked, a NaN or negative horizon silently dropped the
+        # residency still to bill at the horizon, a NaN size gave a NaN
+        # total and -1 raised only inside transfer_out_cost.
+        pop = ZipfPopularity(20, seed=2)
+        stream = popularity_stream(pop, 100.0, 6.0, seed=1)
+        args = {"horizon_months": 6.0, "mosaic_bytes": MOSAIC, name: bad}
+        with pytest.raises(ValueError, match=f"{name} must be {message}"):
+            simulate_cache_policy(
+                stream, retention_months=1.0, generation_cost=GEN_COST, **args
+            )
+
     def test_unpopular_stream_prefers_no_cache(self):
         """Uniform traffic over many regions rarely repeats within the
         horizon — retention only buys storage fees."""

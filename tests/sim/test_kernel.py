@@ -88,9 +88,10 @@ class TestEligibility:
             assert run_fast_kernel(small_workflow(), env).makespan > 0
 
     def test_kernel_validates_processor_count(self):
-        env = ExecutionEnvironment(n_processors=0)
+        # The environment rejects 0 when built, so no kernel entry point
+        # ever sees it.
         with pytest.raises(ValueError, match="at least one processor"):
-            run_fast_kernel(small_workflow(), env)
+            ExecutionEnvironment(n_processors=0)
 
 
 class TestAutoFallback:
@@ -344,11 +345,8 @@ class TestBatchKernel:
         assert run_fast_kernel_batch(small_workflow(), []) == []
 
     def test_batch_validates_processor_count(self):
-        env = ExecutionEnvironment(n_processors=0)
         with pytest.raises(ValueError, match="at least one processor"):
-            run_fast_kernel_batch(
-                small_workflow(), [KernelConfig(environment=env)]
-            )
+            KernelConfig(environment=ExecutionEnvironment(n_processors=0))
 
 
 class TestSingleRunRouting:

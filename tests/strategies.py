@@ -1,4 +1,4 @@
-"""Hypothesis strategies for arbitrary workflow DAGs.
+"""Hypothesis strategies for arbitrary workflow DAGs and run parameters.
 
 The layered generator in :mod:`repro.workflow.generators` covers the
 common shapes; this strategy builds *arbitrary* DAGs — every task may read
@@ -6,9 +6,13 @@ any mix of fresh input files and files produced by any earlier task, may
 produce several outputs, and outputs may be explicitly marked — so the
 property suites exercise corner shapes (multi-output tasks, long skinny
 chains crossing wide fans, files consumed by many levels at once).
+:func:`simulation_parameters` draws run parameters that may break the
+parameter rules, for the engines' agreement on bad input.
 """
 
 from __future__ import annotations
+
+import math
 
 from hypothesis import strategies as st
 
@@ -16,7 +20,13 @@ from repro.sweep.job import FailureSpec, SimJob
 from repro.workflow.dag import FileSpec, Task, Workflow
 from repro.workflow.scaling import scale_file_sizes
 
-__all__ = ["workflows", "failure_specs", "sim_jobs", "ccr_scaled_pairs"]
+__all__ = [
+    "workflows",
+    "failure_specs",
+    "sim_jobs",
+    "ccr_scaled_pairs",
+    "simulation_parameters",
+]
 
 #: The paper's three data-management modes, for sampled_from().
 DATA_MODES = ("regular", "cleanup", "remote-io")
@@ -158,3 +168,55 @@ def ccr_scaled_pairs(
     wf = draw(workflows(max_tasks=max_tasks))
     factor = draw(st.sampled_from([0.25, 0.5, 2.0, 4.0, 10.0]))
     return wf, scale_file_sizes(wf, factor), factor
+
+
+#: Bad values for a run's float parameters (of these, bandwidth accepts
+#: +inf; capacity also rejects 0).
+_BAD_FLOATS = (math.nan, math.inf, -math.inf, -1.0)
+
+
+def _valid_or(valid, invalid):
+    return st.one_of(valid, st.sampled_from(invalid))
+
+
+@st.composite
+def simulation_parameters(draw) -> dict:
+    """Draw keyword arguments for ``simulate``, each possibly invalid.
+
+    Every parameter mixes valid values with ones its rule rejects: a
+    non-integer, bool, zero or negative processor count; NaN, infinite
+    or negative bandwidth, capacity, overhead and ready time; a failure
+    probability outside ``[0, 1)`` and a non-integer or negative retry
+    budget.  ``failures`` is ``None`` or the ``(probability, seed,
+    max_retries)`` of a :class:`~repro.sim.failures.FailureModel`, which
+    each engine must build afresh (its draw stream is consumed).
+    Capacities include ones too small for most DAGs, which deadlock.
+    """
+    failures = None
+    if draw(st.booleans()):
+        failures = (
+            draw(_valid_or(st.floats(0.0, 0.3), (1.0, 1.5, -0.1, math.nan))),
+            draw(st.integers(0, 2**16)),
+            draw(_valid_or(st.integers(0, 5), (-1, 2.5, math.nan, True))),
+        )
+    return {
+        "n_processors": draw(
+            _valid_or(st.integers(1, 8), (0, -1, 2.5, 8.0, True, math.nan))
+        ),
+        "data_mode": draw(st.sampled_from(DATA_MODES)),
+        "bandwidth_bytes_per_sec": draw(
+            _valid_or(st.sampled_from((1e6, 1.25e6, math.inf)),
+                      (0.0, *_BAD_FLOATS))
+        ),
+        "storage_capacity_bytes": draw(
+            _valid_or(st.sampled_from((None, None, 1e3, 2e7, 1e12)),
+                      (0.0, *_BAD_FLOATS))
+        ),
+        "task_overhead_seconds": draw(
+            _valid_or(st.sampled_from((0.0, 2.5)), _BAD_FLOATS)
+        ),
+        "compute_ready_seconds": draw(
+            _valid_or(st.sampled_from((0.0, 45.0)), _BAD_FLOATS)
+        ),
+        "failures": failures,
+    }

@@ -153,3 +153,47 @@ def test_cycle_message_after_cached_order():
         assert str(err.value) == (
             "workflow 'loop' contains a cycle through ['t1', 't2', 't3']"
         )
+
+
+def chain() -> Workflow:
+    wf = Workflow("w")
+    for name in ("a", "b", "c"):
+        wf.add_file(FileSpec(name, 1.0))
+    wf.add_task(Task("t1", 1.0, inputs=("a",), outputs=("b",)))
+    wf.add_task(Task("t2", 1.0, inputs=("b",), outputs=("c",)))
+    return wf
+
+
+@pytest.mark.parametrize("fault", ["orphan-file", "cycle"])
+def test_validate_after_a_pass_still_raises_on_new_faults(fault):
+    # validate() remembers a pass only until the next mutation.
+    wf = chain()
+    wf.validate()
+    wf.validate()
+    if fault == "orphan-file":
+        wf.add_file(FileSpec("orphan", 1.0))
+    else:
+        wf.add_task(Task("t0", 1.0, inputs=("c",), outputs=("a",)))
+    errors = []
+    for candidate in (wf, wf, wf.copy()):
+        with pytest.raises(WorkflowValidationError) as err:
+            candidate.validate()
+        errors.append(str(err.value))
+    assert errors[0] == errors[1] == errors[2]
+
+
+def test_derived_workflow_does_not_reprove_an_unchanged_base():
+    base = chain()
+    base.validate()
+
+    def reproof():
+        raise AssertionError("validated base re-proved")
+
+    base.topological_order = reproof
+    plate = base._with_runtimes([2.0, 3.0], "plate")
+    plate.validate()
+    assert [t.runtime for t in plate.tasks.values()] == [2.0, 3.0]
+    del base.topological_order
+    base.add_file(FileSpec("orphan", 1.0))
+    with pytest.raises(WorkflowValidationError, match="neither"):
+        base._with_runtimes([2.0, 3.0], "plate")
