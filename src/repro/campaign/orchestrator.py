@@ -48,6 +48,7 @@ every pass boundary, so their campaigns wait for each pass's straggler.
 from __future__ import annotations
 
 import hashlib
+import numbers
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Any, Callable, Iterable, Sequence
@@ -62,7 +63,7 @@ from repro.grid.plan import GridPlan
 from repro.sim.datamanager import DataMode
 from repro.sim.executor import DEFAULT_BANDWIDTH
 from repro.sim.failures import check_failure_parameters
-from repro.sim.resources import check_bandwidth, processor_count
+from repro.sim.resources import check_bandwidth, check_finite, processor_count
 from repro.sweep.cache import SimCache, default_cache
 from repro.workflow.dag import Workflow
 
@@ -159,17 +160,16 @@ class CampaignConfig:
         processor_count(self.n_processors)
         check_failure_parameters((self.probability,), self.max_task_retries)
         check_bandwidth(self.bandwidth_bytes_per_sec)
-        if self.n_pools < 1:
-            raise ValueError(f"need at least one pool, got {self.n_pools}")
-        if self.max_plate_attempts < 1:
-            raise ValueError(
-                f"max_plate_attempts must be >= 1, "
-                f"got {self.max_plate_attempts}"
-            )
-        if self.cost_budget is not None and self.cost_budget <= 0:
-            raise ValueError(
-                f"cost_budget must be positive, got {self.cost_budget}"
-            )
+        # A float or NaN count fails with TypeError deep in the pool or
+        # attempt loop, and a NaN budget abandons every resubmission.
+        for name in ("n_pools", "max_plate_attempts"):
+            n = getattr(self, name)
+            if isinstance(n, bool) or not (
+                isinstance(n, numbers.Integral) and n >= 1
+            ):
+                raise ValueError(f"{name} must be an integer >= 1, got {n}")
+        if self.cost_budget is not None:
+            check_finite("cost_budget", self.cost_budget, positive=True)
 
     def round_plan(
         self,

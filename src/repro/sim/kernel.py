@@ -64,10 +64,11 @@ Three entry points share the lowering and the routing:
   seed replays one buffer), cells with equal verdict prefixes replay
   once, and summary-only cells skip trace and curve materialization
   entirely.  On FIFO turbo configurations the same turbo loop takes
-  the cell's verdict array and *forks*: the failure-free baseline
-  records a checkpoint every :data:`SNAP_EVERY` completions, and a
-  failing cell resumes from the last checkpoint before its first
-  failure instead of re-simulating the shared prefix.
+  the cell's verdict array and *forks*: the distinct failing verdict
+  prefixes replay in trie order, rooted at the failure-free run, and
+  each resumes from a checkpoint at the deepest completion event it
+  shares with any earlier replay instead of re-simulating the shared
+  prefix.
 
 Failure injection replays bit-identically too: the loops reproduce the
 engine's exact ``(time, seq)`` event order, so consuming the seeded
@@ -533,7 +534,6 @@ def _run_routed(
     fail=None,
     *,
     row: bool = False,
-    snapshots: list | None = None,
 ) -> SimulationResult | tuple:
     """Replay one run on the loop :func:`_turbo_eligible` picks.
 
@@ -541,13 +541,12 @@ def _run_routed(
     the turbo loop when eligible, else the general loop,
     :func:`_run_single`.  Returns a :class:`SimulationResult`, or with
     ``row`` the run's :data:`SUMMARY_DTYPE` row as a tuple — a turbo
-    run then never builds a result object.  ``snapshots`` reaches the
-    turbo loop only (the Monte Carlo baseline's fork checkpoints).
+    run then never builds a result object.
     """
     if _turbo_eligible(low, environment, data_mode):
         tup = _run_turbo_core(
             workflow, low, environment, data_mode, ordering, tr_dur,
-            exec_dur, fail, snapshots=snapshots,
+            exec_dur, fail,
         )
         if row:
             return tup + (False,)
@@ -1166,12 +1165,6 @@ def _run_single(
 # ------------------------------------------------------------------ #
 # turbo loop: batched traceless shared-storage configurations
 # ------------------------------------------------------------------ #
-#: Completion interval between the checkpoints a Monte Carlo baseline
-#: records for forking.  Smaller values give finer fork points (less
-#: replayed prefix) at the cost of one state copy per interval.
-SNAP_EVERY = 16
-
-
 def _run_turbo_core(
     workflow: Workflow,
     low: _Lowering,
@@ -1185,6 +1178,7 @@ def _run_turbo_core(
     verdicts=None,
     max_retries: int = 0,
     snapshots: list | None = None,
+    snap_at: Sequence[int] = (),
     resume: tuple | None = None,
 ) -> tuple:
     """Merged-stream loop for traceless regular/cleanup configurations.
@@ -1210,21 +1204,24 @@ def _run_turbo_core(
     (via :func:`_result_from_turbo_tuple`) unless a row is asked for.
 
     Failures come either from the live ``fail(t, attempt)`` hook or, for
-    Monte Carlo cells, from ``verdicts``: a boolean array indexed by
+    Monte Carlo cells, from ``verdicts``: booleans indexed by
     completion-event ordinal (the prefix :func:`_verdict_fixpoint`
-    proves sufficient), with ``max_retries`` bounding the attempts and
-    the engine's verbatim abort message.  Two further keywords make the
+    proves sufficient, as an array or its bytes), with ``max_retries`` bounding the attempts and
+    the engine's verbatim abort message.  Further keywords make the
     loop resumable, which is how :func:`run_monte_carlo` forks cells:
 
-    * with a ``snapshots`` list, a failure-free run appends an
-      immutable state snapshot just before processing task completion
-      number ``j * SNAP_EVERY`` (j = 0, 1, ...), so snapshot 0 covers
-      any fork, however early its first failure;
+    * ``snap_at`` is an ascending sequence of completion-event ordinals
+      (``n_done + n_failures``: the index of the verdict the event
+      reads).  Just before processing each of those events the loop
+      appends an immutable state snapshot to ``snapshots``.  A run that
+      aborts keeps the snapshots it took before the abort;
     * with ``resume`` (one of those snapshots), the loop restores the
-      saved state instead of initializing and replays only the suffix.
-      The verdict cursor starts at the snapshot's completion count:
-      every earlier verdict was False, or the baseline that recorded
-      the snapshot could not have matched.
+      saved state, retry counters and failure count included, instead
+      of initializing, and replays only the suffix.  The verdict cursor
+      starts at the snapshot's ordinal ``m``: the state just before
+      event ``m`` is a function of ``verdicts[:m]`` alone, so any run
+      whose verdicts agree with the recording run's below ``m`` may
+      resume from it.
 
     Snapshots store the ready queue normalized to a zero head cursor —
     the compaction heuristic's internal layout is not observable, so
@@ -1288,13 +1285,15 @@ def _run_turbo_core(
         added: list[int] = []  # storage adds in engine insertion order
         release_need = list(need) if cleanup else None
         removed = bytearray(low.n_files) if cleanup else None
+        n_failures = 0
+        attempts_s = None
     else:
         (
             now, seq, rseq, free, booting, boot_scheduled, boot_pending,
             boot_seq, n_done, n_exec, compute_seconds, held_seconds,
             bytes_out, n_out, souts_left, s_t, s_v, s_acc, s_peak, k,
             base, ch_s, ready_s, pending_s, added_s, release_need_s,
-            removed_s,
+            removed_s, n_failures, attempts_s,
         ) = resume
         ch = list(ch_s)
         ready = list(ready_s)
@@ -1304,12 +1303,17 @@ def _run_turbo_core(
         release_need = list(release_need_s) if cleanup else None
         removed = bytearray(removed_s) if cleanup else None
     ready_head = 0
-    n_failures = 0
     finished_at: float | None = None
     live = fail is not None or verdicts is not None
-    attempts = [1] * n_tasks if live else None
-    # Completion ordinal of the next snapshot (-1: never snapshot).
-    snap_at = n_done if snapshots is not None else -1
+    if not live:
+        attempts = None
+    elif attempts_s is None:
+        attempts = [1] * n_tasks
+    else:
+        attempts = list(attempts_s)
+    # Ordinal of the next snapshot (-1: none left).
+    snap_iter = iter(snap_at)
+    snap_next = next(snap_iter, -1)
 
     def dispatch() -> None:
         nonlocal seq, free, booting, boot_scheduled, boot_pending
@@ -1429,11 +1433,11 @@ def _run_turbo_core(
                             dispatch()
         else:
             t = ce[2]
-            if n_done == snap_at and t >= 0:
-                # State just before task completion #(n_done + 1): forks
-                # whose first True verdict lands at that ordinal or later
-                # restore from here.  Everything mutable is copied to an
-                # immutable form.
+            if n_done + n_failures == snap_next and t >= 0:
+                # State just before completion event #snap_next: runs
+                # whose verdicts agree with this one's below that
+                # ordinal restore from here.  Everything mutable is
+                # copied to an immutable form.
                 snapshots.append((
                     now, seq, rseq, free, booting, boot_scheduled,
                     boot_pending, boot_seq, n_done, n_exec,
@@ -1443,8 +1447,10 @@ def _run_turbo_core(
                     tuple(added),
                     tuple(release_need) if cleanup else None,
                     bytes(removed) if cleanup else None,
+                    n_failures,
+                    tuple(attempts) if live else None,
                 ))
-                snap_at += SNAP_EVERY
+                snap_next = next(snap_iter, -1)
             pop(ch)
             now = ct
             if t < 0:
@@ -1794,6 +1800,62 @@ def _matrix_hook(
     return fail
 
 
+def _lcp(a: bytes, b: bytes) -> int:
+    """Length of the longest common prefix of ``a`` and ``b``."""
+    lo, hi = 0, min(len(a), len(b))
+    while lo < hi:
+        mid = (lo + hi + 1) >> 1
+        if a[:mid] == b[:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _trie_plan(
+    prefixes,
+) -> tuple[list[int], list[tuple[bytes, int, list[int]]]]:
+    """Replay order and fork points for distinct failing verdict prefixes.
+
+    ``prefixes`` are byte strings of 0/1 verdicts, each with a True
+    before its end and none a prefix of another (distinct
+    :func:`_verdict_fixpoint` prefixes never are).  Sorted, they are a
+    depth-first walk of their trie, whose root is the failure-free run
+    (all verdicts False).  A prefix's *resume* ordinal is the length of
+    its longest common prefix with the previous one (for the first, the
+    ordinal of its first True, where it leaves the root): in sorted
+    order that is the deepest state it shares with the root or any
+    earlier prefix.
+
+    Returns ``(root_at, plan)``: the ordinals at which the root run
+    snapshots, and per prefix, in replay order, ``(prefix, resume,
+    snap_at)``.  Each run snapshots exactly the ordinals later prefixes
+    resume from and no earlier run already covers: the distinct values
+    of the running minimum of the following resume ordinals that lie
+    above its own resume ordinal (ascending).
+    """
+    order = sorted(prefixes)
+    resumes = [_lcp(a, b) for a, b in zip(order, order[1:])]
+    if order:
+        resumes.insert(0, order[0].index(1))
+    # Right to left, ``chain`` holds the distinct running minima of the
+    # resume ordinals after the current prefix, smallest at the bottom;
+    # those above a prefix's own resume ordinal are its snapshot points.
+    # None equals it: a prefix leaves its predecessor's path on a True
+    # verdict, which every later prefix still on that path shares.
+    chain: list[int] = []
+    snap_ats: list[list[int]] = []
+    for resume in reversed([-1] + resumes):
+        own: list[int] = []
+        while chain and chain[-1] > resume:
+            own.append(chain.pop())
+        own.reverse()
+        snap_ats.append(own)
+        chain.append(resume)
+    snap_ats.reverse()
+    return snap_ats[0], list(zip(order, resumes, snap_ats[1:]))
+
+
 def run_monte_carlo(
     workflow: Workflow,
     config: KernelConfig,
@@ -1827,6 +1889,22 @@ def run_monte_carlo(
     failure rates (well under 1%) this collapses most of the grid to
     one simulation per configuration plus one vectorized comparison per
     cell — an exact identity, not a statistical approximation.
+
+    Failing cells run in three passes.  The first computes every cell's
+    verdict prefix (:func:`_verdict_fixpoint`) without simulating; equal
+    prefixes, across seeds and probabilities alike, replay once.  The
+    second replays each distinct prefix.  On FIFO turbo configurations
+    the replays *fork*: the prefixes run in lexicographic order, which
+    walks their trie depth first from the failure-free root, and each
+    resumes from the state just before the deepest completion event it
+    shares with the root or an earlier prefix (:func:`_trie_plan` says
+    where every run snapshots; the state before event *m* depends on
+    ``verdicts[:m]`` alone, so a fork is bit-identical to a replay from
+    the start).  Seeds shared across probabilities give such tries:
+    raising ``p`` only turns verdicts True, so one seed's prefixes agree
+    up to its first draw between the two thresholds.  Other
+    configurations replay the general loop from the start, in grid
+    order.  The third pass writes every cell.
 
     ``summary_only`` (the default) forces traces off, so each surviving
     cell carries a traceless :class:`SimulationResult` — makespan, cost
@@ -1870,119 +1948,99 @@ def run_monte_carlo(
     exec_dur = low.exec_durations(env.task_overhead_seconds)
     task_ids = low.task_ids
     ordering = config.ordering
+    n_tasks = low.n_tasks
     # Initial buffer sized for the common case (a handful of retries on
     # top of one attempt per task); heavy-failure cells grow it in
     # chunks, and growth is shared by every later cell of that seed.
-    n0 = max(64, low.n_tasks + (low.n_tasks >> 1))
-    chunk = max(64, low.n_tasks)
+    n0 = max(64, n_tasks + (n_tasks >> 1))
+    chunk = max(64, n_tasks)
     if streams is None:
         streams = {}
 
-    # The no-failure cell is seed-independent, and so is any cell whose
-    # verdict fixpoint contains no True: such a run calls the failure
-    # hook exactly once per task execution (n_tasks all-False verdicts,
-    # consuming precisely draws[:n_tasks]) and is therefore bit-identical
-    # to the fail=None run.  One vectorized count per cell detects this,
-    # so a campaign's zero- and low-probability cells collapse to a
-    # single simulation per configuration — exactly, not statistically.
-    #
-    # Cells that *can* fail are deduplicated too: _verdict_fixpoint
-    # proves flags[:L] determines the whole cell, so equal verdict
-    # prefixes (across seeds and probabilities alike) replay once and
-    # share the outcome via pattern_cache.
-    n_tasks = low.n_tasks
-    #: verdict-prefix bytes -> ("ok", row-or-result) | ("abort", message)
-    pattern_cache: dict[bytes, tuple] = {}
-
-    # FIFO turbo cells fork: the baseline run records checkpoints every
-    # SNAP_EVERY completions, and each failing cell resumes from the
-    # checkpoint just before its first True verdict instead of
-    # re-simulating the shared prefix.
-    use_fork = _turbo_eligible(low, env, mode) and ordering is FIFO_ORDER
-    snapshots: list | None = [] if use_fork else None
-    baseline = None
-
-    def no_failure():
-        """The failure-free run: a row when columnar, else a result."""
-        nonlocal baseline
-        if baseline is None:
-            baseline = _run_routed(
-                workflow, low, env, mode, ordering, tr_dur, exec_dur, None,
-                row=columnar, snapshots=snapshots,
-            )
-        return baseline
-
-    cells: list[MonteCarloCell] = []
-    k = out_offset
+    # Pass 1: each cell's verdict prefix.  A prefix without a True
+    # verdict calls the failure hook once per task (consuming exactly
+    # draws[:n_tasks], all False) and is bit-identical to the fail=None
+    # run, so it shares the key b"" with every zero-probability cell.
+    grid: list[tuple[float, int, bytes]] = []
     for p in probabilities:
         for seed in seeds:
+            key = b""
             if p != 0.0:
                 stream = streams.get(seed)
                 if stream is None:
                     stream = streams[seed] = _SeedDraws(seed, n0, chunk)
                 flags, L, nf = _verdict_fixpoint(stream, p, n_tasks)
-            else:
-                nf = 0
-            if nf == 0:
-                # Failure-free (or zero-probability) cell: identical to
-                # the baseline.
-                if columnar:
-                    out[k] = no_failure()
-                    k += 1
-                else:
-                    cells.append(MonteCarloCell(p, seed, no_failure()))
-                continue
-            key = flags[:L].tobytes()
-            hit = pattern_cache.get(key)
-            if hit is not None:
-                kind, payload = hit
-                if columnar:
-                    out[k] = payload if kind == "ok" else _ABORT_ROW
-                    k += 1
-                elif kind == "ok":
-                    cells.append(MonteCarloCell(p, seed, payload))
-                else:
-                    cells.append(
-                        MonteCarloCell(p, seed, None, True, payload)
-                    )
-                continue
-            try:
-                if use_fork:
-                    no_failure()  # materialize the checkpoints
-                    j = int(np.argmax(flags[:L])) // SNAP_EVERY
-                    if j >= len(snapshots):
-                        j = len(snapshots) - 1
-                    tup = _run_turbo_core(
-                        workflow, low, env, mode, ordering, tr_dur,
-                        exec_dur, verdicts=flags, max_retries=max_retries,
-                        resume=snapshots[j],
-                    )
-                    result = (
-                        tup + (False,) if columnar
-                        else _result_from_turbo_tuple(workflow, env, mode, tup)
-                    )
-                else:
-                    result = _run_routed(
-                        workflow, low, env, mode, ordering, tr_dur, exec_dur,
-                        _matrix_hook(stream, p, max_retries, task_ids),
-                        row=columnar,
-                    )
-            except WorkflowAbortedError as exc:
-                pattern_cache[key] = ("abort", str(exc))
-                if columnar:
-                    out[k] = _ABORT_ROW
-                    k += 1
-                else:
-                    cells.append(
-                        MonteCarloCell(p, seed, None, True, str(exc))
-                    )
-            else:
-                pattern_cache[key] = ("ok", result)
-                if columnar:
-                    out[k] = result
-                    k += 1
-                else:
-                    cells.append(MonteCarloCell(p, seed, result))
+                if nf:
+                    key = flags[:L].tobytes()
+            grid.append((p, seed, key))
+
+    #: verdict-prefix bytes -> ("ok", row-or-result) | ("abort", message)
+    pattern_cache: dict[bytes, tuple] = {}
+
+    def settle(key: bytes, replay) -> None:
+        try:
+            pattern_cache[key] = ("ok", replay())
+        except WorkflowAbortedError as exc:
+            pattern_cache[key] = ("abort", str(exc))
+
+    # Pass 2: replay each distinct prefix once.
+    if grid and _turbo_eligible(low, env, mode) and ordering is FIFO_ORDER:
+        # FIFO turbo cells fork along the verdict trie: the failure-free
+        # root, then every failing prefix in lexicographic order, each
+        # resuming from the deepest state it shares with any earlier
+        # replay.  ``stack`` holds (ordinal, snapshot) along the current
+        # trie path; each replay snapshots exactly the ordinals later
+        # prefixes resume from (_trie_plan).
+        def turbo(**kwargs):
+            tup = _run_turbo_core(
+                workflow, low, env, mode, ordering, tr_dur, exec_dur,
+                max_retries=max_retries, **kwargs
+            )
+            if columnar:
+                return tup + (False,)
+            return _result_from_turbo_tuple(workflow, env, mode, tup)
+
+        root_at, plan = _trie_plan({key for _, _, key in grid} - {b""})
+        taken: list = []
+        pattern_cache[b""] = ("ok", turbo(snapshots=taken, snap_at=root_at))
+        stack = list(zip(root_at, taken))
+        for key, resume, snap_at in plan:
+            while stack[-1][0] > resume:
+                stack.pop()
+            taken = []
+            state = stack[-1][1]
+            settle(key, lambda: turbo(
+                verdicts=key, resume=state, snapshots=taken,
+                snap_at=snap_at,
+            ))
+            stack.extend(zip(snap_at, taken))
+    else:
+        # Everything else replays the routed loop from the start behind
+        # a failure hook, in grid order, so a deadlocking capacity
+        # raises the first deadlocking cell's diagnostic.
+        for p, seed, key in grid:
+            if key not in pattern_cache:
+                fail = (
+                    _matrix_hook(streams[seed], p, max_retries, task_ids)
+                    if key else None
+                )
+                settle(key, lambda: _run_routed(
+                    workflow, low, env, mode, ordering, tr_dur, exec_dur,
+                    fail, row=columnar,
+                ))
+
+    # Pass 3: every cell, in grid order.
+    cells: list[MonteCarloCell] = []
+    k = out_offset
+    for p, seed, key in grid:
+        kind, payload = pattern_cache[key]
+        if columnar:
+            out[k] = payload if kind == "ok" else _ABORT_ROW
+            k += 1
+        elif kind == "ok":
+            cells.append(MonteCarloCell(p, seed, payload))
+        else:
+            cells.append(MonteCarloCell(p, seed, None, True, payload))
     if columnar:
         return k - out_offset
     return cells

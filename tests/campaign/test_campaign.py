@@ -95,8 +95,18 @@ class TestConfig:
             ({"n_processors": 0}, "need at least one processor"),
             ({"n_processors": 2.5}, "n_processors must be an integer"),
             ({"bandwidth_bytes_per_sec": -1.0}, "bandwidth must be positive"),
+            ({"n_pools": 2.5}, "n_pools must be an integer >= 1, got 2.5"),
+            ({"n_pools": True}, "n_pools must be an integer >= 1, got True"),
+            ({"max_plate_attempts": math.nan},
+             "max_plate_attempts must be an integer >= 1, got nan"),
+            ({"cost_budget": math.nan},
+             "cost_budget must be finite and > 0, got nan"),
+            ({"cost_budget": math.inf},
+             "cost_budget must be finite and > 0, got inf"),
         ],
-        ids=["p1.5", "p-nan", "retries-1", "P0", "P2.5", "bw-1"],
+        ids=["p1.5", "p-nan", "retries-1", "P0", "P2.5", "bw-1",
+             "pools2.5", "pools-bool", "attempts-nan", "budget-nan",
+             "budget-inf"],
     )
     def test_bad_run_parameters_rejected_before_the_log(
         self, tmp_path, overrides, message

@@ -21,8 +21,10 @@ from repro.sim import (
     SHORTEST_FIRST,
     simulate,
 )
+from repro.montage.generator import montage_workflow
 from repro.sim import kernel
 from repro.sim.failures import FailureModel, WorkflowAbortedError
+from repro.workflow.generators import random_layered_workflow
 
 from tests.strategies import DATA_MODES, failure_specs, workflows
 
@@ -410,6 +412,125 @@ def test_monte_carlo_identical_to_event_engine(
             continue
         assert not cell.aborted
         assert cell.result == ref
+
+
+# Grids whose verdict prefixes share long runs: DAGs of 40-203 tasks,
+# one to three seeds under six to ten increasing probabilities (each
+# seed's prefixes nest), and retry budgets small enough that replays
+# abort mid-branch after taking the snapshots later prefixes fork from.
+TRIE_GRIDS = dict(
+    wf=st.one_of(
+        st.just(montage_workflow(1.0)),
+        st.builds(
+            random_layered_workflow,
+            n_layers=st.integers(4, 16),
+            width=st.integers(10, 12),
+            seed=st.integers(0, 2**16),
+            edge_density=st.sampled_from([0.2, 0.5, 1.0]),
+        ),
+    ),
+    p=st.integers(1, 16),
+    mode=st.sampled_from(("regular", "cleanup")),
+    probs=st.lists(
+        st.floats(0.001, 0.2, allow_nan=False), min_size=6, max_size=10,
+        unique=True,
+    ).map(sorted),
+    seeds=st.lists(st.integers(0, 2**16), min_size=1, max_size=3,
+                   unique=True),
+    retries=st.integers(0, 2),
+)
+
+
+def _assert_grid_matches_engine(wf, p, mode, probs, seeds, retries,
+                                ordering=FIFO_ORDER):
+    """Every cell of run_monte_carlo, as cells and as columnar rows,
+    equals a per-run event-engine simulation, aborts included."""
+    from repro.sim import ExecutionEnvironment, KernelConfig
+    from repro.sim.kernel import SUMMARY_DTYPE, run_monte_carlo, summary_batch
+
+    refs = [
+        _event_cell(wf, prob, seed, retries, n_processors=p, data_mode=mode,
+                    ordering=ordering, record_trace=False)
+        for prob in probs
+        for seed in seeds
+    ]
+    config = KernelConfig(
+        environment=ExecutionEnvironment(n_processors=p), data_mode=mode,
+        ordering=ordering,
+    )
+    cells = run_monte_carlo(wf, config, probs, seeds, max_retries=retries)
+    rows = summary_batch(len(refs))
+    assert run_monte_carlo(
+        wf, config, probs, seeds, max_retries=retries, out=rows
+    ) == len(refs)
+    metrics = [n for n in SUMMARY_DTYPE.names if n != "aborted"]
+    assert len(cells) == len(refs)
+    for cell, row, (prob, seed), (ref, abort, deadlock) in zip(
+        cells, rows, [(q, s) for q in probs for s in seeds], refs
+    ):
+        assert deadlock is None
+        assert cell.probability == prob and cell.seed == seed
+        assert (cell.aborted, cell.abort_message) == (
+            abort is not None, abort or ""
+        )
+        assert bool(row["aborted"]) == cell.aborted
+        if abort is not None:
+            assert cell.result is None
+            assert all(row[n] == 0 for n in metrics)
+            continue
+        assert cell.result == ref
+        assert [row[n] for n in metrics] == [getattr(ref, n) for n in metrics]
+    return cells
+
+
+@settings(max_examples=10, deadline=None)
+@given(**TRIE_GRIDS)
+def test_monte_carlo_trie_grid_identical_to_event_engine(
+    wf, p, mode, probs, seeds, retries
+):
+    _assert_grid_matches_engine(wf, p, mode, probs, seeds, retries)
+
+
+@pytest.mark.slow
+@settings(max_examples=150, deadline=None)
+@given(**TRIE_GRIDS)
+def test_monte_carlo_trie_grid_identical_to_event_engine_heavy(
+    wf, p, mode, probs, seeds, retries
+):
+    _assert_grid_matches_engine(wf, p, mode, probs, seeds, retries)
+
+
+def test_monte_carlo_trie_grid_aborts_mid_branch():
+    """A 1-degree grid whose forks abort after taking snapshots that
+    later prefixes resume from still equals the engine cell for cell."""
+    calls = []
+    core = kernel._run_turbo_core
+
+    def recording(*args, **kwargs):
+        taken = kwargs.get("snapshots")
+        try:
+            return core(*args, **kwargs)
+        except WorkflowAbortedError:
+            if kwargs.get("verdicts") is not None and taken:
+                calls.append(len(taken))
+            raise
+
+    probs = (0.005, 0.01, 0.02, 0.04, 0.06, 0.08, 0.12, 0.16)
+    with mock.patch.object(kernel, "_run_turbo_core", recording):
+        cells = _assert_grid_matches_engine(
+            montage_workflow(1.0), 8, "regular", probs, (0, 1, 2), 1
+        )
+    assert any(cell.aborted for cell in cells)
+    assert calls, "no fork aborted after taking a snapshot"
+
+
+def test_monte_carlo_non_fifo_grid_identical_to_event_engine():
+    """Non-FIFO orderings take the routed replay (no forks)."""
+    _assert_grid_matches_engine(
+        montage_workflow(1.0), 8, "cleanup",
+        (0.005, 0.01, 0.02, 0.05, 0.1, 0.2), (3, 4), 1,
+        ordering=LONGEST_FIRST,
+    )
 
 
 @pytest.mark.audit
