@@ -30,7 +30,7 @@ Subpackages
   closed-form economics.
 - :mod:`repro.provisioning` — plan selection under deadlines/budgets.
 - :mod:`repro.experiments` — per-figure experiment harness and report
-  runner (``python -m repro.experiments.runner``).
+  runner (``python -m repro report``).
 """
 
 __version__ = "1.0.0"

@@ -48,7 +48,6 @@ every pass boundary, so their campaigns wait for each pass's straggler.
 from __future__ import annotations
 
 import hashlib
-import numbers
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Any, Callable, Iterable, Sequence
@@ -63,7 +62,12 @@ from repro.grid.plan import GridPlan
 from repro.sim.datamanager import DataMode
 from repro.sim.executor import DEFAULT_BANDWIDTH
 from repro.sim.failures import check_failure_parameters
-from repro.sim.resources import check_bandwidth, check_finite, processor_count
+from repro.sim.resources import (
+    check_bandwidth,
+    check_count,
+    check_finite,
+    processor_count,
+)
 from repro.sweep.cache import SimCache, default_cache
 from repro.workflow.dag import Workflow
 
@@ -163,11 +167,7 @@ class CampaignConfig:
         # A float or NaN count fails with TypeError deep in the pool or
         # attempt loop, and a NaN budget abandons every resubmission.
         for name in ("n_pools", "max_plate_attempts"):
-            n = getattr(self, name)
-            if isinstance(n, bool) or not (
-                isinstance(n, numbers.Integral) and n >= 1
-            ):
-                raise ValueError(f"{name} must be an integer >= 1, got {n}")
+            check_count(name, getattr(self, name))
         if self.cost_budget is not None:
             check_finite("cost_budget", self.cost_budget, positive=True)
 

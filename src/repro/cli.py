@@ -12,7 +12,7 @@ Everything the library does, from a shell::
     python -m repro service --requests-per-month 1e6 --processors 512
     python -m repro gantt --degree 1 --processors 8
     python -m repro dax --degree 1 --output montage1.xml
-    python -m repro report [--fast] [--audit]
+    python -m repro report [--fast] [--extensions] [--audit]
 
 Workflows come from the calibrated Montage generator (``--degree``) or
 from a DAX XML file (``--dax``).
@@ -143,7 +143,6 @@ def _print_cache_stats() -> None:
         "\ncache: "
         f"{stats['hits']} hits, {stats['misses']} misses "
         f"({stats['hit_rate']:.0%} hit rate), "
-        f"{stats['evictions']} evictions, "
         f"{stats['memory_entries']} in memory, "
         f"{stats['disk_entries']} on disk"
     )
@@ -537,7 +536,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
     # Imported lazily: the runner pulls in every experiment.
     from repro.experiments.runner import run_all
 
-    run_all(fast=args.fast, stream=sys.stdout, audit=args.audit)
+    run_all(
+        fast=args.fast,
+        extensions=args.extensions,
+        stream=sys.stdout,
+        audit=args.audit,
+    )
     return 0
 
 
@@ -838,7 +842,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_plot)
 
     p = sub.add_parser("report", help="full paper-comparison report")
-    p.add_argument("--fast", action="store_true")
+    p.add_argument("--fast", action="store_true", help="smoke-test subset")
+    p.add_argument(
+        "--extensions", action="store_true",
+        help="append the ablation studies",
+    )
     p.add_argument(
         "--audit", action="store_true",
         help="run every simulation under the trace-audit oracle",

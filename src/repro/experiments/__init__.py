@@ -13,7 +13,7 @@ figure and table of the evaluation (Section 6).
 * :mod:`repro.experiments.report` — fixed-width table rendering shared by
   the report, the CLI and the examples;
 * :mod:`repro.experiments.runner` — run everything and emit the full
-  paper-comparison report (``python -m repro.experiments.runner``).
+  paper-comparison report (``python -m repro report``).
 """
 
 from repro.experiments.question1 import Question1Result, run_question1

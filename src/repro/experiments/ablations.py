@@ -4,7 +4,7 @@ Each study relaxes one idealization of the paper (or exercises one of its
 future-work items / references) and returns structured rows plus a
 rendered table; ``tests/experiments/test_ablations.py`` asserts each
 study's finding on the 1° workload, and
-``python -m repro.experiments.runner --extensions`` prints them all.
+``python -m repro report --extensions`` prints them all.
 
 Studies
 -------

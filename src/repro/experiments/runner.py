@@ -2,7 +2,7 @@
 
 Usage::
 
-    python -m repro.experiments.runner [--fast] [--extensions] [--audit]
+    python -m repro report [--fast] [--extensions] [--audit]
 
 ``--fast`` limits Question 1 to the 1° workflow and a short processor
 ladder (useful as a smoke test); the full run covers every figure and
@@ -16,7 +16,6 @@ stderr, so stdout is byte-reproducible.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from io import StringIO
 
@@ -29,7 +28,7 @@ from repro.experiments.question3 import run_question3
 from repro.experiments.report import format_table
 from repro.sweep import set_default_audit
 
-__all__ = ["run_all", "main"]
+__all__ = ["run_all"]
 
 #: Paper-reported values for the summary comparison (figure/question,
 #: quantity, value).
@@ -168,29 +167,3 @@ def _run_body(fast: bool, extensions: bool, emit, out: StringIO) -> str:
         )
     return out.getvalue()
 
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--fast", action="store_true", help="smoke-test subset"
-    )
-    parser.add_argument(
-        "--extensions", action="store_true",
-        help="append the ablation studies",
-    )
-    parser.add_argument(
-        "--audit", action="store_true",
-        help="reconcile every simulation against its event trace",
-    )
-    args = parser.parse_args(argv)
-    run_all(
-        fast=args.fast,
-        extensions=args.extensions,
-        stream=sys.stdout,
-        audit=args.audit,
-    )
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

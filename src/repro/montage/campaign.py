@@ -26,6 +26,7 @@ from repro.montage.generator import montage_workflow
 from repro.montage.sky import sky_plate_centers
 from repro.montage.twomass import TWO_MASS, TwoMassArchive
 from repro.sim.executor import DEFAULT_BANDWIDTH, simulate
+from repro.sim.resources import check_count
 from repro.util.units import MONTH
 from repro.workflow.dag import Workflow
 
@@ -138,8 +139,7 @@ def plan_whole_sky_campaign(
     ($1,200 for 2MASS), rented for the campaign duration, and every plate
     sheds its input-transfer fee.
     """
-    if n_pools < 1:
-        raise ValueError(f"need at least one pool, got {n_pools}")
+    check_count("n_pools", n_pools)
     workflow = montage_workflow(degree)
     result = simulate(
         workflow,

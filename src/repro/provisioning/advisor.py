@@ -22,6 +22,7 @@ from repro.core.plans import ExecutionPlan
 from repro.core.pricing import AWS_2008, PricingModel
 from repro.core.tradeoff import geometric_processors
 from repro.sim.executor import DEFAULT_BANDWIDTH, simulate
+from repro.sim.resources import check_finite
 from repro.workflow.analysis import max_parallelism
 from repro.workflow.dag import Workflow
 
@@ -86,10 +87,10 @@ def advise_plan(
         providers = {AWS_2008.name: AWS_2008}
     if not providers:
         raise ValueError("need at least one provider")
-    if deadline_seconds is not None and deadline_seconds <= 0:
-        raise ValueError("deadline must be positive")
-    if budget_dollars is not None and budget_dollars <= 0:
-        raise ValueError("budget must be positive")
+    if deadline_seconds is not None:
+        check_finite("deadline_seconds", deadline_seconds, positive=True)
+    if budget_dollars is not None:
+        check_finite("budget_dollars", budget_dollars, positive=True)
     if processors is None:
         limit = max(1, max_parallelism(workflow))
         ladder = [p for p in geometric_processors(128) if p <= limit]

@@ -30,6 +30,7 @@ from repro.service.arrivals import ServiceRequest
 from repro.service.simulator import RequestOutcome, ServiceSimulator
 from repro.sim.datamanager import DataMode
 from repro.sim.executor import simulate
+from repro.sim.resources import check_finite
 
 __all__ = ["BurstDecision", "BurstingOutcome", "simulate_bursting"]
 
@@ -94,8 +95,7 @@ def simulate_bursting(
     """
     if local_processors < 1:
         raise ValueError("need at least one local processor")
-    if objective_seconds <= 0:
-        raise ValueError("objective must be positive")
+    check_finite("objective_seconds", objective_seconds, positive=True)
     mode = DataMode(data_mode) if isinstance(data_mode, str) else data_mode
 
     decisions: list[BurstDecision] = []

@@ -45,7 +45,6 @@ from repro.service.economics import ServiceEconomics, service_economics
 from repro.service.capacity import (
     CapacityPlan,
     ScaleCandidate,
-    ScaleCapacityPlan,
     plan_capacity,
     plan_capacity_at_scale,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "service_economics",
     "CapacityPlan",
     "ScaleCandidate",
-    "ScaleCapacityPlan",
     "plan_capacity",
     "plan_capacity_at_scale",
     "ClassSummary",

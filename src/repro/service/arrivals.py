@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.sim.resources import check_finite
 from repro.workflow.dag import Workflow
 
 __all__ = [
@@ -32,10 +33,9 @@ class ServiceRequest:
     arrival_time: float
 
     def __post_init__(self) -> None:
-        if self.arrival_time < 0:
-            raise ValueError(
-                f"request {self.request_id!r} has negative arrival time"
-            )
+        check_finite(
+            f"request {self.request_id!r} arrival_time", self.arrival_time
+        )
 
 
 def poisson_arrival_array(
@@ -55,10 +55,8 @@ def poisson_arrival_array(
     historical one-draw-per-iteration loop while generating millions of
     arrivals per second.
     """
-    if rate_per_second <= 0:
-        raise ValueError(f"rate must be positive, got {rate_per_second}")
-    if horizon_seconds <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon_seconds}")
+    check_finite("rate_per_second", rate_per_second, positive=True)
+    check_finite("horizon_seconds", horizon_seconds, positive=True)
     rng = np.random.default_rng(seed)
     scale = 1.0 / rate_per_second
     # Expected count plus generous stochastic headroom, so one chunk
@@ -97,8 +95,7 @@ def uniform_arrivals(n_requests: int, interval_seconds: float) -> list[float]:
     """Evenly spaced arrivals: 0, interval, 2*interval, ..."""
     if n_requests < 0:
         raise ValueError(f"negative request count {n_requests}")
-    if interval_seconds < 0:
-        raise ValueError(f"negative interval {interval_seconds}")
+    check_finite("interval_seconds", interval_seconds)
     return [i * interval_seconds for i in range(n_requests)]
 
 

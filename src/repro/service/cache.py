@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.pricing import AWS_2008, PricingModel
-from repro.sim.resources import check_finite
+from repro.service.arrivals import poisson_arrival_array
+from repro.sim.resources import check_count, check_finite
 from repro.util.units import MONTH
 
 __all__ = [
@@ -39,23 +40,27 @@ __all__ = [
 ]
 
 
+def zipf_probabilities(n_regions: int, exponent: float) -> np.ndarray:
+    """Rank *k* (0-based) of ``n_regions`` has probability proportional
+    to ``1 / (k + 1) ** exponent``."""
+    weights = 1.0 / np.arange(1, n_regions + 1, dtype=float) ** exponent
+    return weights / weights.sum()
+
+
 class ZipfPopularity:
     """Zipf-distributed sky-region popularity.
 
-    Region *k* (0-based rank) is requested with probability proportional
-    to ``1 / (k + 1) ** exponent``.
+    Region ranks are drawn from :func:`zipf_probabilities`.
     """
 
     def __init__(
         self, n_regions: int, exponent: float = 1.0, seed: int = 0
     ) -> None:
-        if n_regions < 1:
-            raise ValueError(f"need at least one region, got {n_regions}")
+        check_count("n_regions", n_regions)
         check_finite("zipf exponent", exponent)
         self.n_regions = n_regions
         self.exponent = exponent
-        weights = 1.0 / np.arange(1, n_regions + 1, dtype=float) ** exponent
-        self._probabilities = weights / weights.sum()
+        self._probabilities = zipf_probabilities(n_regions, exponent)
         self._rng = np.random.default_rng(seed)
 
     def probability(self, region: int) -> float:
@@ -85,24 +90,14 @@ def popularity_stream(
     seed: int = 0,
 ) -> list[RegionRequest]:
     """Poisson request stream over regions (deterministic per seed)."""
-    # A NaN rate would never reach the horizon, so NaN must fail here.
+    # Checked under the caller's names before they are converted to seconds.
     check_finite("requests_per_month", requests_per_month, positive=True)
     check_finite("horizon_months", horizon_months, positive=True)
-    rng = np.random.default_rng(seed)
-    horizon = horizon_months * MONTH
-    rate = requests_per_month / MONTH
-    times = []
-    t = 0.0
-    while True:
-        t += float(rng.exponential(1.0 / rate))
-        if t >= horizon:
-            break
-        times.append(t)
-    regions = popularity.sample(len(times))
-    return [
-        RegionRequest(time=t, region=int(r))
-        for t, r in zip(times, regions)
-    ]
+    times = poisson_arrival_array(
+        requests_per_month / MONTH, horizon_months * MONTH, seed
+    ).tolist()
+    regions = popularity.sample(len(times)).tolist()
+    return [RegionRequest(time=t, region=r) for t, r in zip(times, regions)]
 
 
 @dataclass

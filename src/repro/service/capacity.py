@@ -6,15 +6,17 @@ objective holds, then binary-search the boundary.  The returned plan
 carries the economics of the chosen size and of the candidates examined,
 so the operator sees the cost of tightening the SLA.
 
-Two searches share that skeleton: :func:`plan_capacity` runs each
-candidate through the event-based simulator (exact, thousands of
-requests), and :func:`plan_capacity_at_scale` runs each candidate
-through the fluid engine (approximate, millions of requests in seconds)
-— the full-scale sizing the paper's Question-2 service actually needs.
+Two planners share that one search and its :class:`CapacityPlan`:
+:func:`plan_capacity` runs each candidate through the event-based
+simulator (exact, thousands of requests), and
+:func:`plan_capacity_at_scale` runs each candidate through the fluid
+engine (approximate, millions of requests in seconds) — the full-scale
+sizing the paper's Question-2 service actually needs.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,11 +26,11 @@ from repro.service.arrivals import ServiceRequest
 from repro.service.economics import ServiceEconomics, service_economics
 from repro.service.simulator import ServiceResult, ServiceSimulator
 from repro.sim.datamanager import DataMode
+from repro.sim.resources import check_count, check_finite
 
 __all__ = [
     "CapacityPlan",
     "ScaleCandidate",
-    "ScaleCapacityPlan",
     "plan_capacity",
     "plan_capacity_at_scale",
 ]
@@ -45,12 +47,29 @@ class CandidateOutcome:
 
 
 @dataclass(frozen=True)
+class ScaleCandidate:
+    """One examined pool size at full traffic scale."""
+
+    n_processors: int
+    meets_objective: bool
+    p95_miss_response_time: float
+    mean_response_time: float
+    pool_utilization: float
+    peak_backlog_jobs: float
+    total_cost: float
+    cost_per_request: float
+
+
+Candidate = CandidateOutcome | ScaleCandidate
+
+
+@dataclass(frozen=True)
 class CapacityPlan:
-    """The sizing decision."""
+    """The sizing decision (event or fluid-engine candidates)."""
 
     objective_p95_seconds: float
-    chosen: CandidateOutcome | None
-    candidates: list[CandidateOutcome]
+    chosen: Candidate | None
+    candidates: list[Candidate]
 
     @property
     def feasible(self) -> bool:
@@ -61,6 +80,40 @@ class CapacityPlan:
         if self.chosen is None:
             raise ValueError("objective infeasible within the search cap")
         return self.chosen.n_processors
+
+
+def _search(
+    evaluate: Callable[[int], Candidate], max_processors: int
+) -> tuple[Candidate | None, list[Candidate]]:
+    """Smallest pool whose candidate meets the objective, and every
+    candidate examined on the way, sorted by pool size.
+
+    Doubles the pool until the objective holds, then bisects the
+    boundary; each pool size is evaluated at most once.
+    """
+    check_count("max_processors", max_processors)
+    examined: dict[int, Candidate] = {}
+
+    def meets(p: int) -> bool:
+        if p not in examined:
+            examined[p] = evaluate(p)
+        return examined[p].meets_objective
+
+    p = 1
+    while p <= max_processors and not meets(p):
+        p *= 2
+    chosen = None
+    if p <= max_processors:
+        # Bisect (p/2, p]: lo failed (or is 0), hi met.
+        lo, hi = p // 2, p
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if meets(mid):
+                hi = mid
+            else:
+                lo = mid
+        chosen = examined[hi]
+    return chosen, sorted(examined.values(), key=lambda c: c.n_processors)
 
 
 def plan_capacity(
@@ -77,93 +130,32 @@ def plan_capacity(
     fixed FCFS request stream (more processors never delay anyone), which
     justifies the doubling + binary search.
     """
-    if objective_p95_seconds <= 0:
-        raise ValueError("objective must be positive")
+    check_finite("objective_p95_seconds", objective_p95_seconds, positive=True)
     if not requests:
         raise ValueError("no requests supplied")
 
-    examined: dict[int, CandidateOutcome] = {}
-
     def evaluate(p: int) -> CandidateOutcome:
-        if p not in examined:
-            sim = ServiceSimulator(p, data_mode=data_mode)
-            result: ServiceResult = sim.run(requests)
-            p95 = result.percentile_response_time(95.0)
-            # An undersized pool builds a backlog past the nominal rental
-            # period; the pool must then be held until the work drains.
-            period = (
-                max(period_seconds, result.horizon)
-                if period_seconds is not None
-                else None
-            )
-            examined[p] = CandidateOutcome(
-                n_processors=p,
-                meets_objective=p95 <= objective_p95_seconds,
-                p95_response_time=p95,
-                economics=service_economics(
-                    result, pricing, period_seconds=period
-                ),
-            )
-        return examined[p]
-
-    # Doubling phase.
-    p = 1
-    while p <= max_processors and not evaluate(p).meets_objective:
-        p *= 2
-    if p > max_processors:
-        return CapacityPlan(
-            objective_p95_seconds=objective_p95_seconds,
-            chosen=None,
-            candidates=sorted(
-                examined.values(), key=lambda c: c.n_processors
-            ),
+        result: ServiceResult = ServiceSimulator(p, data_mode=data_mode).run(
+            requests
         )
-    # Binary search in (p/2, p].
-    lo, hi = p // 2, p  # evaluate(lo) failed (or lo == 0), evaluate(hi) met
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if evaluate(mid).meets_objective:
-            hi = mid
-        else:
-            lo = mid
+        p95 = result.percentile_response_time(95.0)
+        # An undersized pool builds a backlog past the nominal rental
+        # period; the pool must then be held until the work drains.
+        period = (
+            max(period_seconds, result.horizon)
+            if period_seconds is not None
+            else None
+        )
+        return CandidateOutcome(
+            n_processors=p,
+            meets_objective=p95 <= objective_p95_seconds,
+            p95_response_time=p95,
+            economics=service_economics(result, pricing, period_seconds=period),
+        )
+
     return CapacityPlan(
-        objective_p95_seconds=objective_p95_seconds,
-        chosen=evaluate(hi),
-        candidates=sorted(examined.values(), key=lambda c: c.n_processors),
+        objective_p95_seconds, *_search(evaluate, max_processors)
     )
-
-
-@dataclass(frozen=True)
-class ScaleCandidate:
-    """One examined pool size at full traffic scale."""
-
-    n_processors: int
-    meets_objective: bool
-    p95_miss_response_time: float
-    mean_response_time: float
-    pool_utilization: float
-    peak_backlog_jobs: float
-    total_cost: float
-    cost_per_request: float
-
-
-@dataclass(frozen=True)
-class ScaleCapacityPlan:
-    """The full-scale sizing decision (fluid-engine candidates)."""
-
-    objective_p95_seconds: float
-    chosen: ScaleCandidate | None
-    candidates: list[ScaleCandidate]
-
-    @property
-    def feasible(self) -> bool:
-        return self.chosen is not None
-
-    @property
-    def n_processors(self) -> int:
-        if self.chosen is None:
-            raise ValueError("objective infeasible within the search cap")
-        return self.chosen.n_processors
 
 
 def plan_capacity_at_scale(
@@ -174,7 +166,7 @@ def plan_capacity_at_scale(
     max_processors: int = 65_536,
     epoch_seconds: float = 3600.0,
     cache=None,
-) -> ScaleCapacityPlan:
+) -> CapacityPlan:
     """Smallest pool meeting a p95 objective on the *miss* path, at scale.
 
     ``sample`` is a :class:`~repro.service.scale.TrafficSample` — the
@@ -183,65 +175,39 @@ def plan_capacity_at_scale(
     ~100 ms each, not hours), and the objective applies to the 95th
     percentile of cache-miss response times: the generated-mosaic path
     whose latency provisioning actually controls (hits are a transfer,
-    indifferent to the pool).  Monotonicity in pool size justifies the
-    doubling + binary search exactly as in :func:`plan_capacity`.
+    indifferent to the pool).  The same search as :func:`plan_capacity`
+    picks the pool; its candidates are :class:`ScaleCandidate`.
     """
     from repro.service.scale import FluidServiceEngine
 
-    if objective_p95_seconds <= 0:
-        raise ValueError("objective must be positive")
+    check_finite("objective_p95_seconds", objective_p95_seconds, positive=True)
     if sample.n_requests == 0:
         raise ValueError("empty traffic sample")
-
-    examined: dict[int, ScaleCandidate] = {}
+    misses = ~sample.hit
 
     def evaluate(p: int) -> ScaleCandidate:
-        if p not in examined:
-            engine = FluidServiceEngine(
-                p, epoch_seconds=epoch_seconds, pricing=pricing,
-                cache=cache,
-            )
-            result = engine.run(sample)
-            misses = ~sample.hit
-            responses = result.response_times()
-            p95_miss = (
-                float(np.percentile(responses[misses], 95.0))
-                if misses.any()
-                else 0.0
-            )
-            eco = result.economics
-            examined[p] = ScaleCandidate(
-                n_processors=p,
-                meets_objective=p95_miss <= objective_p95_seconds,
-                p95_miss_response_time=p95_miss,
-                mean_response_time=eco.mean_response_time,
-                pool_utilization=eco.pool_utilization,
-                peak_backlog_jobs=result.peak_backlog(),
-                total_cost=eco.total_cost,
-                cost_per_request=eco.cost_per_request,
-            )
-        return examined[p]
-
-    p = 1
-    while p <= max_processors and not evaluate(p).meets_objective:
-        p *= 2
-    if p > max_processors:
-        return ScaleCapacityPlan(
-            objective_p95_seconds=objective_p95_seconds,
-            chosen=None,
-            candidates=sorted(
-                examined.values(), key=lambda c: c.n_processors
-            ),
+        engine = FluidServiceEngine(
+            p, epoch_seconds=epoch_seconds, pricing=pricing, cache=cache
         )
-    lo, hi = p // 2, p
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if evaluate(mid).meets_objective:
-            hi = mid
-        else:
-            lo = mid
-    return ScaleCapacityPlan(
-        objective_p95_seconds=objective_p95_seconds,
-        chosen=evaluate(hi),
-        candidates=sorted(examined.values(), key=lambda c: c.n_processors),
+        result = engine.run(sample)
+        responses = result.response_times()
+        p95_miss = (
+            float(np.percentile(responses[misses], 95.0))
+            if misses.any()
+            else 0.0
+        )
+        eco = result.economics
+        return ScaleCandidate(
+            n_processors=p,
+            meets_objective=p95_miss <= objective_p95_seconds,
+            p95_miss_response_time=p95_miss,
+            mean_response_time=eco.mean_response_time,
+            pool_utilization=eco.pool_utilization,
+            peak_backlog_jobs=result.peak_backlog(),
+            total_cost=eco.total_cost,
+            cost_per_request=eco.cost_per_request,
+        )
+
+    return CapacityPlan(
+        objective_p95_seconds, *_search(evaluate, max_processors)
     )

@@ -44,10 +44,16 @@ from repro.core.costs import CostBreakdown
 from repro.core.pricing import AWS_2008, PricingModel
 from repro.montage.generator import montage_workflow
 from repro.service.arrivals import ServiceRequest, poisson_arrival_array
+from repro.service.cache import zipf_probabilities
 from repro.service.simulator import ResponseStats, ServiceSimulator
 from repro.service.summaries import ClassSummary, summarize_mix
 from repro.sim.executor import DEFAULT_BANDWIDTH
-from repro.sim.resources import check_bandwidth, check_finite, processor_count
+from repro.sim.resources import (
+    check_bandwidth,
+    check_count,
+    check_finite,
+    processor_count,
+)
 from repro.sweep.cache import SimCache
 from repro.util.units import MONTH
 from repro.workflow.dag import Workflow
@@ -109,8 +115,7 @@ class TrafficSpec:
             check_finite(name, getattr(self, name))
         if not self.mix:
             raise ValueError("need at least one mix component")
-        if self.n_regions < 1:
-            raise ValueError("need at least one region")
+        check_count("n_regions", self.n_regions)
         check_bandwidth(self.bandwidth_bytes_per_sec)
 
     @property
@@ -207,11 +212,6 @@ class TrafficSample:
         )
 
 
-def _zipf_probabilities(n_regions: int, exponent: float) -> np.ndarray:
-    weights = 1.0 / np.arange(1, n_regions + 1, dtype=float) ** exponent
-    return weights / weights.sum()
-
-
 def _resolve_ttl_cache(
     keys: np.ndarray,
     times: np.ndarray,
@@ -300,7 +300,7 @@ def sample_traffic(
     region = rng_region.choice(
         spec.n_regions,
         size=n,
-        p=_zipf_probabilities(spec.n_regions, spec.zipf_exponent),
+        p=zipf_probabilities(spec.n_regions, spec.zipf_exponent),
     ).astype(np.int64)
     keys = class_idx * spec.n_regions + region
     mosaic_bytes = np.array([s.mosaic_bytes for s in summaries])

@@ -10,6 +10,7 @@ the storage resource over which all stage-in/stage-out traffic flows.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -38,6 +39,15 @@ def processor_count(n) -> int:
                 raise ValueError(f"need at least one processor, got {n}")
             return count
     raise ValueError(f"n_processors must be an integer, got {n}")
+
+
+def check_count(name: str, n) -> None:
+    """``ValueError`` naming ``name`` unless ``n`` is an integer ``>= 1``.
+
+    Bools and floats are rejected, as for :func:`processor_count`.
+    """
+    if isinstance(n, bool) or not (isinstance(n, numbers.Integral) and n >= 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {n}")
 
 
 def check_bandwidth(b) -> None:

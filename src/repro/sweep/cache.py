@@ -11,19 +11,16 @@ The on-disk layer is *directory-sharded* by fingerprint prefix: an entry
 with key ``abcd…`` lives at ``ab/abcd….pkl``, which keeps directory
 listings short for million-entry campaign caches (a flat directory with
 10⁶ files makes every create/lookup a linear scan on most filesystems).
-Legacy flat-layout files (``abcd….pkl`` at the top level) are migrated
-into their shard transparently the first time they are touched, so
-pre-existing caches keep working with no flag day.  Every write is an
-atomic publish (temp file + ``os.replace``), so any number of concurrent
-writers can share a directory; a corrupt or truncated pickle is treated
-as a miss and *quarantined* (renamed to ``*.corrupt``) so it is repaired
-by the next write instead of being re-parsed on every lookup.
+Every write is an atomic publish (temp file + ``os.replace``), so any
+number of concurrent writers can share a directory; a corrupt or
+truncated pickle is treated as a miss and *quarantined* (renamed to
+``*.corrupt``) so it is repaired by the next write instead of being
+re-parsed on every lookup.
 
-The in-memory layer is an LRU bounded by ``REPRO_SWEEP_CACHE_MAX``
-(or the ``max_memory_entries`` argument); the default is unbounded,
-which is right for tens-of-jobs sweeps, while campaign grids cap it so
-a million cells cannot hold every result resident.  :meth:`stats`
-reports hits/misses/evictions and the on-disk entry count.
+The in-memory layer is a plain dict: sweeps put tens to thousands of
+results in it, and campaign grids store their shard batches as disk-only
+blobs (below), so it never holds a million cells.  :meth:`stats`
+reports hits/misses and the in-memory and on-disk entry counts.
 
 Enable the disk layer by passing ``directory=`` or by exporting
 ``REPRO_SWEEP_CACHE=/path/to/dir`` before the default cache is created.
@@ -41,7 +38,6 @@ from __future__ import annotations
 import os
 import pickle
 import tempfile
-from collections import OrderedDict
 from pathlib import Path
 from typing import Any
 
@@ -53,45 +49,15 @@ __all__ = ["SimCache", "default_cache", "reset_default_cache"]
 #: process-wide default cache.
 CACHE_DIR_ENV = "REPRO_SWEEP_CACHE"
 
-#: Environment variable bounding the in-memory LRU layer (entries);
-#: unset/empty/0 means unbounded.
-CACHE_MAX_ENV = "REPRO_SWEEP_CACHE_MAX"
-
 #: Length of the fingerprint prefix used as the shard directory name.
 SHARD_PREFIX = 2
 
 
-def resolve_max_memory_entries(limit: int | None = None) -> int | None:
-    """Effective in-memory entry bound: explicit arg, else env, else None."""
-    if limit is not None:
-        if limit < 1:
-            raise ValueError(
-                f"max_memory_entries must be >= 1, got {limit}"
-            )
-        return limit
-    env = os.environ.get(CACHE_MAX_ENV, "").strip()
-    if not env:
-        return None
-    try:
-        value = int(env)
-    except ValueError:
-        raise ValueError(
-            f"{CACHE_MAX_ENV} must be an integer, got {env!r}"
-        ) from None
-    return value if value > 0 else None
-
-
 class SimCache:
-    """Sharded on-disk + bounded in-memory result store keyed by fingerprint."""
+    """Sharded on-disk + in-memory result store keyed by fingerprint."""
 
-    def __init__(
-        self,
-        directory: str | Path | None = None,
-        max_memory_entries: int | None = None,
-    ) -> None:
-        #: LRU order: oldest first; move_to_end on every touch.
-        self._memory: OrderedDict[str, SimulationResult] = OrderedDict()
-        self._max_memory = resolve_max_memory_entries(max_memory_entries)
+    def __init__(self, directory: str | Path | None = None) -> None:
+        self._memory: dict[str, SimulationResult] = {}
         self._directory = Path(directory) if directory else None
         if self._directory is not None:
             try:
@@ -103,15 +69,10 @@ class SimCache:
                 ) from None
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
 
     @property
     def directory(self) -> Path | None:
         return self._directory
-
-    @property
-    def max_memory_entries(self) -> int | None:
-        return self._max_memory
 
     def __len__(self) -> int:
         return len(self._memory)
@@ -123,33 +84,13 @@ class SimCache:
         return self.hits / total if total else 0.0
 
     # -------------------------------------------------------------- #
-    # sharded paths + flat-layout migration
+    # sharded paths
     # -------------------------------------------------------------- #
     def _shard_dir(self, key: str) -> Path:
         return self._directory / key[:SHARD_PREFIX]
 
     def _disk_path(self, key: str) -> Path:
         return self._shard_dir(key) / f"{key}.pkl"
-
-    def _flat_path(self, key: str) -> Path:
-        # Pre-sharding layout (flat {key}.pkl at the cache root).
-        return self._directory / f"{key}.pkl"
-
-    def _migrate_flat(self, key: str) -> None:
-        """Move a legacy flat-layout entry into its shard, if present.
-
-        Rename is atomic, so a concurrent reader either finds the flat
-        file or the sharded one — never a half state; a racing migrator
-        losing the rename is harmless (the entry already moved).
-        """
-        flat = self._flat_path(key)
-        try:
-            if not flat.is_file():
-                return
-            self._shard_dir(key).mkdir(exist_ok=True)
-            os.replace(flat, self._disk_path(key))
-        except OSError:
-            pass
 
     def _quarantine(self, path: Path) -> None:
         """Sideline an unreadable pickle so it is never re-parsed.
@@ -191,24 +132,13 @@ class SimCache:
     # -------------------------------------------------------------- #
     # result entries
     # -------------------------------------------------------------- #
-    def _remember(self, key: str, result: SimulationResult) -> None:
-        self._memory[key] = result
-        self._memory.move_to_end(key)
-        if self._max_memory is not None:
-            while len(self._memory) > self._max_memory:
-                self._memory.popitem(last=False)
-                self.evictions += 1
-
     def get(self, key: str) -> SimulationResult | None:
         """Look up a result; updates the hit/miss counters."""
         result = self._memory.get(key)
-        if result is not None:
-            self._memory.move_to_end(key)
-        elif self._directory is not None:
-            self._migrate_flat(key)
+        if result is None and self._directory is not None:
             result = self._disk_load(self._disk_path(key))
             if result is not None:
-                self._remember(key, result)
+                self._memory[key] = result
         if result is None:
             self.misses += 1
             return None
@@ -217,7 +147,7 @@ class SimCache:
 
     def put(self, key: str, result: SimulationResult) -> None:
         """Store a result under its fingerprint."""
-        self._remember(key, result)
+        self._memory[key] = result
         if self._directory is not None:
             self._disk_store(self._disk_path(key), result)
 
@@ -231,7 +161,7 @@ class SimCache:
         """Fetch an arbitrary payload stored with :meth:`put_blob`.
 
         Disk-only (blobs are large by design — whole-shard record
-        batches — so they never occupy the LRU); returns None without a
+        batches — so they never occupy memory); returns None without a
         disk layer.  Corrupt blobs are quarantined like result entries.
         Counts toward hits/misses.
         """
@@ -260,10 +190,7 @@ class SimCache:
         count = 0
         with os.scandir(self._directory) as it:
             for entry in it:
-                name = entry.name
-                if name.endswith(".pkl"):
-                    count += 1  # legacy flat entry not yet migrated
-                elif entry.is_dir() and len(name) == SHARD_PREFIX:
+                if entry.is_dir() and len(entry.name) == SHARD_PREFIX:
                     count += sum(
                         1
                         for f in os.listdir(entry.path)
@@ -271,14 +198,12 @@ class SimCache:
                     )
         return count
 
-    def stats(self) -> dict[str, int | float | None]:
-        """Counters snapshot: hits/misses/evictions, sizes, hit rate."""
+    def stats(self) -> dict[str, int | float]:
+        """Counters snapshot: hits/misses, sizes, hit rate."""
         return {
             "hits": self.hits,
             "misses": self.misses,
-            "evictions": self.evictions,
             "memory_entries": len(self._memory),
-            "max_memory_entries": self._max_memory,
             "disk_entries": self.disk_entries(),
             "hit_rate": self.hit_rate,
         }
@@ -292,7 +217,6 @@ class SimCache:
         self._memory.clear()
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
 
 
 _default: SimCache | None = None
@@ -301,8 +225,7 @@ _default: SimCache | None = None
 def default_cache() -> SimCache:
     """The process-wide cache used by :func:`repro.sweep.run_jobs`.
 
-    Created lazily; honours ``REPRO_SWEEP_CACHE`` for an on-disk layer
-    and ``REPRO_SWEEP_CACHE_MAX`` for the in-memory LRU bound.
+    Created lazily; honours ``REPRO_SWEEP_CACHE`` for an on-disk layer.
     """
     global _default
     if _default is None:

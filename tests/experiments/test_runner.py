@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.experiments.runner import main, run_all
+from repro.cli import main
+from repro.experiments.runner import run_all
 from repro.sweep import cache as cache_module
 
 
@@ -27,7 +28,7 @@ class TestRunner:
         assert "$1,800" in report  # monthly archive storage
 
     def test_main_entrypoint(self, capsys):
-        assert main(["--fast"]) == 0
+        assert main(["report", "--fast"]) == 0
         out = capsys.readouterr().out
         assert "Reproduction report" in out
 
@@ -65,11 +66,13 @@ class TestFullRunner:
 
 class TestExtensionsFlag:
     def test_extensions_section(self, capsys):
-        report = run_all(fast=True, extensions=True)
+        assert main(["report", "--fast", "--extensions"]) == 0
+        captured = capsys.readouterr()
+        report = captured.out
         assert "Extension / ablation studies" in report
         assert "Billing-granularity ablation" in report
         assert "Task-clustering ablation" in report
         # Wall-clock columns stay off the reproducible report.
         assert "Service-at-scale ablation" in report
         assert "speedup" not in report and "fluid wall" not in report
-        assert "Service-at-scale timings" in capsys.readouterr().err
+        assert "Service-at-scale timings" in captured.err

@@ -1,5 +1,5 @@
-"""SimCache durability: concurrent writers, corrupt-pickle quarantine,
-flat→sharded migration, the LRU memory bound, and stats reporting."""
+"""SimCache durability: sharded layout, concurrent writers,
+corrupt-pickle quarantine, and stats reporting."""
 
 from __future__ import annotations
 
@@ -7,16 +7,9 @@ import multiprocessing
 import os
 import pickle
 
-import pytest
-
 from repro.sim import simulate
 from repro.sweep import SimJob
-from repro.sweep.cache import (
-    CACHE_MAX_ENV,
-    SHARD_PREFIX,
-    SimCache,
-    resolve_max_memory_entries,
-)
+from repro.sweep.cache import SHARD_PREFIX, SimCache
 
 
 def tiny_result():
@@ -53,33 +46,6 @@ class TestShardedLayout:
         expected = tmp_path / key[:SHARD_PREFIX] / f"{key}.pkl"
         assert expected.is_file()
         assert not (tmp_path / f"{key}.pkl").exists()
-
-    def test_flat_layout_migrates_on_first_touch(self, tmp_path):
-        result = tiny_result()
-        keys = [f"{i:02x}{'ab' * 31}" for i in range(8)]
-        # Write the pre-sharding layout by hand: flat {key}.pkl files.
-        for key in keys:
-            with open(tmp_path / f"{key}.pkl", "wb") as fh:
-                pickle.dump(result, fh)
-        cache = SimCache(tmp_path)
-        for key in keys:
-            got = cache.get(key)
-            assert got is not None
-            assert got.makespan == result.makespan
-            assert not (tmp_path / f"{key}.pkl").exists()
-            assert (
-                tmp_path / key[:SHARD_PREFIX] / f"{key}.pkl"
-            ).is_file()
-        # Nothing lost: a fresh cache still answers every key from disk.
-        fresh = SimCache(tmp_path)
-        assert all(fresh.get(key) is not None for key in keys)
-
-    def test_disk_entries_counts_flat_and_sharded(self, tmp_path):
-        cache = SimCache(tmp_path)
-        cache.put("ab" * 32, tiny_result())
-        with open(tmp_path / f"{'cd' * 32}.pkl", "wb") as fh:
-            pickle.dump(tiny_result(), fh)
-        assert cache.disk_entries() == 2
 
 
 class TestConcurrentWriters:
@@ -145,67 +111,25 @@ class TestCorruptEntries:
         assert not blob.exists()
 
 
-class TestMemoryBound:
-    def test_lru_eviction(self):
-        cache = SimCache(max_memory_entries=2)
-        r = tiny_result()
-        cache.put("k1", r)
-        cache.put("k2", r)
-        cache.put("k3", r)
-        assert len(cache) == 2
-        assert cache.evictions == 1
-        assert cache.get("k1") is None  # evicted (oldest)
-        assert cache.get("k3") is not None
-
-    def test_get_refreshes_recency(self):
-        cache = SimCache(max_memory_entries=2)
-        r = tiny_result()
-        cache.put("k1", r)
-        cache.put("k2", r)
-        assert cache.get("k1") is not None  # k1 now most recent
-        cache.put("k3", r)
-        assert cache.get("k2") is None  # k2 was the LRU victim
-        assert cache.get("k1") is not None
-
-    def test_eviction_keeps_disk_copy(self, tmp_path):
-        cache = SimCache(tmp_path, max_memory_entries=1)
-        r = tiny_result()
-        cache.put("k1" * 32, r)
-        cache.put("k2" * 32, r)
-        assert len(cache) == 1
-        assert cache.get("k1" * 32) is not None  # reloaded from disk
-
-    def test_env_bound(self, monkeypatch):
-        monkeypatch.setenv(CACHE_MAX_ENV, "7")
-        assert resolve_max_memory_entries() == 7
-        monkeypatch.setenv(CACHE_MAX_ENV, "0")
-        assert resolve_max_memory_entries() is None
-        monkeypatch.setenv(CACHE_MAX_ENV, "nope")
-        with pytest.raises(ValueError, match=CACHE_MAX_ENV):
-            resolve_max_memory_entries()
-        monkeypatch.delenv(CACHE_MAX_ENV)
-        assert resolve_max_memory_entries() is None
-        with pytest.raises(ValueError, match="max_memory_entries"):
-            SimCache(max_memory_entries=0)
-
-
 class TestStats:
     def test_stats_snapshot(self, tmp_path):
-        cache = SimCache(tmp_path, max_memory_entries=1)
+        cache = SimCache(tmp_path)
         r = tiny_result()
         cache.put("aa" * 32, r)
         cache.put("ab" * 32, r)
         cache.get("aa" * 32)
         cache.get("zz" * 32)
-        stats = cache.stats()
-        assert stats["hits"] == 1
-        assert stats["misses"] == 1
-        # put ab evicted aa; get aa reloaded it from disk, evicting ab.
-        assert stats["evictions"] == 2
-        assert stats["memory_entries"] == 1
-        assert stats["max_memory_entries"] == 1
-        assert stats["disk_entries"] == 2
-        assert stats["hit_rate"] == 0.5
+        assert cache.stats() == {
+            "hits": 1,
+            "misses": 1,
+            "memory_entries": 2,
+            "disk_entries": 2,
+            "hit_rate": 0.5,
+        }
+        # A fresh cache loads a disk hit into memory.
+        fresh = SimCache(tmp_path)
+        assert fresh.get("ab" * 32) is not None
+        assert fresh.stats()["memory_entries"] == 1
 
     def test_clear_resets_counters_keeps_disk(self, tmp_path):
         cache = SimCache(tmp_path)

@@ -1,8 +1,8 @@
 """One validation boundary: each parameter rule is written once.
 
-The rules for processor counts, failure probability and retry budget,
-storage capacity, link bandwidth and finite non-negative (or positive)
-floats each live in one helper (``repro.sim.resources`` and
+The rules for processor counts, other counts (pools, regions, plate
+attempts), failure probability and retry budget, storage capacity, link
+bandwidth and finite non-negative (or positive) floats each live in one helper (``repro.sim.resources`` and
 ``repro.sim.failures``), and every entry point that accepts such a
 parameter calls it.  Three checks keep it that way:
 
@@ -28,8 +28,21 @@ from hypothesis import example, given, settings
 from repro.core.estimate import makespan_bounds
 from repro.core.plans import ExecutionPlan
 from repro.grid.plan import GridPlan
+from repro.montage.campaign import plan_whole_sky_campaign
 from repro.montage.generator import montage_workflow
-from repro.service.scale import FluidServiceEngine
+from repro.provisioning import advise_plan, simulate_bursting
+from repro.service.arrivals import (
+    ServiceRequest,
+    poisson_arrival_array,
+    uniform_arrivals,
+)
+from repro.service.cache import ZipfPopularity
+from repro.service.capacity import plan_capacity, plan_capacity_at_scale
+from repro.service.scale import (
+    FluidServiceEngine,
+    montage_traffic,
+    sample_traffic,
+)
 from repro.sim import simulate
 from repro.sim.executor import ExecutionEnvironment
 from repro.sim.failures import FailureModel
@@ -51,6 +64,7 @@ RULE_MESSAGES = (
     "bandwidth must be positive",
     "must be finite and >= 0",
     "must be finite and > 0",
+    "must be an integer >= 1",
 )
 
 
@@ -106,6 +120,12 @@ def test_each_rule_message_has_one_raise_site():
 NAN = math.nan
 ONE_DEGREE = montage_workflow(1.0)
 ENV = ExecutionEnvironment(n_processors=4, record_trace=False)
+REQUESTS = [ServiceRequest("r0", ONE_DEGREE, 0.0)]
+
+
+def small_sample():
+    return sample_traffic(montage_traffic(1_000.0, n_regions=10))
+
 
 REJECTED = {
     "plan-P2.5": (lambda: ExecutionPlan.provisioned(2.5),
@@ -145,6 +165,79 @@ REJECTED = {
         lambda: run_monte_carlo(ONE_DEGREE, KernelConfig(ENV), [0.3], [0],
                                 max_retries=NAN),
         "max_retries must be an integer >= 0, got nan",
+    ),
+    # Counts: a float or bool once ran as a fractional or single pool.
+    "whole-sky-pools-2.5": (lambda: plan_whole_sky_campaign(n_pools=2.5),
+                            "n_pools must be an integer >= 1, got 2.5"),
+    "whole-sky-pools-True": (lambda: plan_whole_sky_campaign(n_pools=True),
+                             "n_pools must be an integer >= 1, got True"),
+    "zipf-regions-True": (lambda: ZipfPopularity(True),
+                          "n_regions must be an integer >= 1, got True"),
+    "zipf-regions-0": (lambda: ZipfPopularity(0),
+                       "n_regions must be an integer >= 1, got 0"),
+    "traffic-regions-True": (
+        lambda: montage_traffic(1_000.0, n_regions=True),
+        "n_regions must be an integer >= 1, got True",
+    ),
+    # Arrivals: NaN once reached numpy's int conversion, inf overflowed,
+    # and a NaN or inf interval gave NaN arrival times.
+    "poisson-rate-nan": (lambda: poisson_arrival_array(NAN, 10.0, 0),
+                         "rate_per_second must be finite and > 0, got nan"),
+    "poisson-rate-inf": (lambda: poisson_arrival_array(math.inf, 10.0, 0),
+                         "rate_per_second must be finite and > 0, got inf"),
+    "poisson-horizon-inf": (
+        lambda: poisson_arrival_array(1.0, math.inf, 0),
+        "horizon_seconds must be finite and > 0, got inf",
+    ),
+    "uniform-interval-nan": (lambda: uniform_arrivals(3, NAN),
+                             "interval_seconds must be finite and >= 0, got nan"),
+    "uniform-interval-inf": (
+        lambda: uniform_arrivals(3, math.inf),
+        "interval_seconds must be finite and >= 0, got inf",
+    ),
+    "request-arrival-nan": (
+        lambda: ServiceRequest("r0", ONE_DEGREE, NAN),
+        "request 'r0' arrival_time must be finite and >= 0, got nan",
+    ),
+    # Objectives, deadlines and budgets: NaN was silently "infeasible"
+    # after a full search, and an inf objective chose one processor.
+    "capacity-objective-nan": (
+        lambda: plan_capacity(REQUESTS, NAN, max_processors=64),
+        "objective_p95_seconds must be finite and > 0, got nan",
+    ),
+    "capacity-objective-inf": (
+        lambda: plan_capacity(REQUESTS, math.inf),
+        "objective_p95_seconds must be finite and > 0, got inf",
+    ),
+    # A NaN, zero or fractional search cap once ended the search early.
+    "capacity-max-nan": (
+        lambda: plan_capacity(REQUESTS, 3600.0, max_processors=NAN),
+        "max_processors must be an integer >= 1, got nan",
+    ),
+    "capacity-max-2.5": (
+        lambda: plan_capacity(REQUESTS, 3600.0, max_processors=2.5),
+        "max_processors must be an integer >= 1, got 2.5",
+    ),
+    "scale-capacity-max-0": (
+        lambda: plan_capacity_at_scale(small_sample(), 3600.0,
+                                       max_processors=0),
+        "max_processors must be an integer >= 1, got 0",
+    ),
+    "scale-capacity-objective-nan": (
+        lambda: plan_capacity_at_scale(small_sample(), NAN),
+        "objective_p95_seconds must be finite and > 0, got nan",
+    ),
+    "advise-deadline-nan": (
+        lambda: advise_plan(ONE_DEGREE, deadline_seconds=NAN),
+        "deadline_seconds must be finite and > 0, got nan",
+    ),
+    "advise-budget-nan": (
+        lambda: advise_plan(ONE_DEGREE, budget_dollars=NAN),
+        "budget_dollars must be finite and > 0, got nan",
+    ),
+    "bursting-objective-nan": (
+        lambda: simulate_bursting(REQUESTS, 4, objective_seconds=NAN),
+        "objective_seconds must be finite and > 0, got nan",
     ),
 }
 
