@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 __all__ = [
     "PlateCenter",
     "sky_plate_centers",
@@ -47,6 +45,32 @@ class PlateCenter:
             raise ValueError(f"Dec {self.dec_deg} outside [-90, 90]")
 
 
+def _bands(degree: float, overlap_margin_deg: float) -> list[tuple[float, int]]:
+    """``(declination, plate count)`` of each band of the tiling."""
+    if degree <= 0:
+        raise ValueError(f"plate size must be positive, got {degree}")
+    if not 0.0 <= overlap_margin_deg < degree:
+        raise ValueError(
+            f"overlap margin must be in [0, {degree}), got "
+            f"{overlap_margin_deg}"
+        )
+    step = degree - overlap_margin_deg
+    n_bands = max(1, math.ceil(180.0 / step))
+    bands = []
+    for band in range(n_bands):
+        # Band centers span the sphere; clamp the extremes to keep the
+        # plate footprints on it.
+        dec = -90.0 + (band + 0.5) * step
+        dec = max(min(dec, 90.0 - degree / 2.0), -90.0 + degree / 2.0)
+        circumference = 360.0 * math.cos(math.radians(dec))
+        if circumference <= step:
+            n_plates = 1
+        else:
+            n_plates = math.ceil(circumference / step)
+        bands.append((dec, n_plates))
+    return bands
+
+
 def sky_plate_centers(
     degree: float, overlap_margin_deg: float = 0.0
 ) -> list[PlateCenter]:
@@ -58,67 +82,54 @@ def sky_plate_centers(
     footprints overlap by the same margin.  Both poles are covered by the
     top and bottom bands' plates.
     """
-    if degree <= 0:
-        raise ValueError(f"plate size must be positive, got {degree}")
-    if not 0.0 <= overlap_margin_deg < degree:
-        raise ValueError(
-            f"overlap margin must be in [0, {degree}), got "
-            f"{overlap_margin_deg}"
-        )
-    step = degree - overlap_margin_deg
-    n_bands = max(1, math.ceil(180.0 / step))
-    centers: list[PlateCenter] = []
-    for band in range(n_bands):
-        # Band centers span the sphere; clamp the extremes to keep the
-        # plate footprints on it.
-        dec = -90.0 + (band + 0.5) * step
-        dec = max(min(dec, 90.0 - degree / 2.0), -90.0 + degree / 2.0)
-        circumference = 360.0 * math.cos(math.radians(dec))
-        if circumference <= step:
-            n_plates = 1
-        else:
-            n_plates = math.ceil(circumference / step)
-        for i in range(n_plates):
-            centers.append(
-                PlateCenter(ra_deg=(i + 0.5) * 360.0 / n_plates % 360.0,
-                            dec_deg=dec)
-            )
-    return centers
+    return [
+        PlateCenter(ra_deg=(i + 0.5) * 360.0 / n_plates % 360.0, dec_deg=dec)
+        for dec, n_plates in _bands(degree, overlap_margin_deg)
+        for i in range(n_plates)
+    ]
 
 
 def margin_for_plate_count(
     degree: float, target_plates: int
 ) -> float:
-    """Overlap margin whose tiling yields ~``target_plates`` plates.
+    """Smallest overlap margin whose tiling has ``>= target_plates`` plates.
 
     Solves the paper's implied layout numerically: at 4 degrees,
     ``margin_for_plate_count(4.0, 3900)`` recovers the overlap the paper
-    assumed for its 3,900-plate full-sky set.  Raises if the target is
-    below the zero-margin plate count (overlap can only add plates).
+    assumed for its 3,900-plate full-sky set.  The plate count is a
+    monotone step function of the margin, so the result is the left edge
+    of the step that first reaches the target, to within 1e-6 degrees:
+    ``count(m) >= target_plates > count(m - 1e-6)``.  Raises if the target
+    is below the zero-margin plate count (overlap can only add plates) or
+    above the count at a margin of ``0.9 * degree``.
     """
     if target_plates < 1:
         raise ValueError(f"target must be >= 1, got {target_plates}")
-    lo_count = len(sky_plate_centers(degree, 0.0))
+
+    def count_at(margin: float) -> int:
+        return sum(n for _, n in _bands(degree, margin))
+
+    lo_count = count_at(0.0)
     if target_plates < lo_count:
         raise ValueError(
             f"{target_plates} plates is below the zero-overlap minimum "
             f"({lo_count}) for {degree}-degree plates"
         )
-
-    def count_at(margin: float) -> int:
-        return len(sky_plate_centers(degree, margin))
-
-    hi = degree * 0.9
+    if target_plates == lo_count:
+        return 0.0
+    lo, hi = 0.0, degree * 0.9
     if count_at(hi) < target_plates:
         raise ValueError(
             f"cannot reach {target_plates} plates within sane margins"
         )
-    # Plate count is a monotone step function of the margin; bisect on the
-    # continuous relaxation, then walk to the step boundary.
-    margin = brentq(
-        lambda m: count_at(m) - target_plates, 0.0, hi, xtol=1e-6
-    )
-    return float(margin)
+    # Invariant: count_at(lo) < target_plates <= count_at(hi).
+    while hi - lo > 1e-6:
+        mid = 0.5 * (lo + hi)
+        if count_at(mid) >= target_plates:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sim.resources import check_finite
+from repro.sim.resources import check_count, check_finite
 from repro.workflow.dag import Workflow
 
 __all__ = [
@@ -93,8 +93,7 @@ def poisson_arrivals(
 
 def uniform_arrivals(n_requests: int, interval_seconds: float) -> list[float]:
     """Evenly spaced arrivals: 0, interval, 2*interval, ..."""
-    if n_requests < 0:
-        raise ValueError(f"negative request count {n_requests}")
+    check_count("n_requests", n_requests, minimum=0)
     check_finite("interval_seconds", interval_seconds)
     return [i * interval_seconds for i in range(n_requests)]
 
@@ -115,9 +114,11 @@ def request_stream(
     if weights is not None:
         if len(weights) != len(workflow_choices):
             raise ValueError("weights and workflow_choices length mismatch")
+        for weight in weights:
+            check_finite("weight", weight)
         w = np.asarray(weights, dtype=float)
-        if (w < 0).any() or w.sum() <= 0:
-            raise ValueError("weights must be non-negative and sum > 0")
+        if w.sum() <= 0:
+            raise ValueError("weights must sum to more than 0")
         probabilities = w / w.sum()
     else:
         probabilities = None

@@ -29,6 +29,7 @@ from repro.service.arrivals import ServiceRequest
 from repro.service.cache import MosaicCache
 from repro.service.simulator import ServiceSimulator
 from repro.sim.executor import DEFAULT_BANDWIDTH
+from repro.sim.resources import check_finite
 from repro.util.units import MONTH
 
 __all__ = ["MosaicRequest", "Fulfillment", "PortalReport", "MontagePortal"]
@@ -43,10 +44,8 @@ class MosaicRequest:
     arrival_time: float
 
     def __post_init__(self) -> None:
-        if self.degree <= 0:
-            raise ValueError(f"mosaic degree must be positive: {self.degree}")
-        if self.arrival_time < 0:
-            raise ValueError("negative arrival time")
+        check_finite("mosaic degree", self.degree, positive=True)
+        check_finite("arrival_time", self.arrival_time)
 
     @property
     def product_key(self) -> tuple[str, float]:
@@ -133,8 +132,7 @@ class MontagePortal:
         prestage_inputs: bool = False,
         bandwidth_bytes_per_sec: float = DEFAULT_BANDWIDTH,
     ) -> None:
-        if cache_retention_months < 0:
-            raise ValueError("negative cache retention")
+        check_finite("cache_retention_months", cache_retention_months)
         self.n_processors = n_processors
         self.data_mode = data_mode
         self.pricing = pricing

@@ -19,9 +19,9 @@ bit-identical to the event engine for any (probability, seed) pair.
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
+
+from repro.sim.resources import check_count
 
 __all__ = ["FailureModel", "WorkflowAbortedError"]
 
@@ -37,12 +37,7 @@ def check_failure_parameters(probabilities, max_retries) -> None:
     for p in probabilities:
         if not 0.0 <= p < 1.0:
             raise ValueError(f"failure probability must be in [0, 1); got {p}")
-    if isinstance(max_retries, bool) or not (
-        isinstance(max_retries, numbers.Integral) and max_retries >= 0
-    ):
-        raise ValueError(
-            f"max_retries must be an integer >= 0, got {max_retries}"
-        )
+    check_count("max_retries", max_retries, minimum=0)
 
 
 class FailureModel:

@@ -41,13 +41,16 @@ def processor_count(n) -> int:
     raise ValueError(f"n_processors must be an integer, got {n}")
 
 
-def check_count(name: str, n) -> None:
-    """``ValueError`` naming ``name`` unless ``n`` is an integer ``>= 1``.
+def check_count(name: str, n, *, minimum: int = 1) -> None:
+    """``ValueError`` naming ``name`` unless ``n`` is an integer
+    ``>= minimum``.
 
     Bools and floats are rejected, as for :func:`processor_count`.
     """
-    if isinstance(n, bool) or not (isinstance(n, numbers.Integral) and n >= 1):
-        raise ValueError(f"{name} must be an integer >= 1, got {n}")
+    if isinstance(n, bool) or not (
+        isinstance(n, numbers.Integral) and n >= minimum
+    ):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {n}")
 
 
 def check_bandwidth(b) -> None:

@@ -32,6 +32,17 @@ class TestPlateLayout:
         assert len(sky_plate_centers(6.0, m6)) == 1734
         assert m4 / 4.0 == pytest.approx(m6 / 6.0, abs=0.02)
 
+    @pytest.mark.parametrize("degree, target", [(4.0, 3900), (6.0, 1734)])
+    def test_margin_is_the_step_boundary(self, degree, target):
+        """The margin is the left edge of the step that reaches the
+        target: 1e-6 degrees less overlap gives fewer plates."""
+        m = margin_for_plate_count(degree, target)
+        assert len(sky_plate_centers(degree, m)) >= target
+        assert len(sky_plate_centers(degree, m - 1e-6)) < target
+
+    def test_zero_margin_target_needs_no_overlap(self):
+        assert margin_for_plate_count(4.0, len(sky_plate_centers(4.0))) == 0.0
+
     def test_more_overlap_more_plates(self):
         counts = [
             len(sky_plate_centers(4.0, m)) for m in (0.0, 0.3, 0.6, 0.9)

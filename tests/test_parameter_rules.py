@@ -1,8 +1,9 @@
 """One validation boundary: each parameter rule is written once.
 
 The rules for processor counts, other counts (pools, regions, plate
-attempts), failure probability and retry budget, storage capacity, link
-bandwidth and finite non-negative (or positive) floats each live in one helper (``repro.sim.resources`` and
+attempts, requests, retry budgets), failure probability, storage
+capacity, link bandwidth and finite non-negative (or positive) floats
+each live in one helper (``repro.sim.resources`` and
 ``repro.sim.failures``), and every entry point that accepts such a
 parameter calls it.  Three checks keep it that way:
 
@@ -30,14 +31,17 @@ from repro.core.plans import ExecutionPlan
 from repro.grid.plan import GridPlan
 from repro.montage.campaign import plan_whole_sky_campaign
 from repro.montage.generator import montage_workflow
+from repro.montage.sky import region
 from repro.provisioning import advise_plan, simulate_bursting
 from repro.service.arrivals import (
     ServiceRequest,
     poisson_arrival_array,
+    request_stream,
     uniform_arrivals,
 )
 from repro.service.cache import ZipfPopularity
 from repro.service.capacity import plan_capacity, plan_capacity_at_scale
+from repro.service.portal import MontagePortal, MosaicRequest
 from repro.service.scale import (
     FluidServiceEngine,
     montage_traffic,
@@ -59,12 +63,12 @@ RULE_MESSAGES = (
     "need at least one processor",
     "n_processors must be an integer",
     "failure probability must be in",
-    "max_retries must be",
     "capacity must be",
     "bandwidth must be positive",
     "must be finite and >= 0",
     "must be finite and > 0",
-    "must be an integer >= 1",
+    # counts, retry budgets included: ``check_count(..., minimum=)``
+    "must be an integer >= ",
 )
 
 
@@ -121,6 +125,7 @@ NAN = math.nan
 ONE_DEGREE = montage_workflow(1.0)
 ENV = ExecutionEnvironment(n_processors=4, record_trace=False)
 REQUESTS = [ServiceRequest("r0", ONE_DEGREE, 0.0)]
+M17 = region("M17")
 
 
 def small_sample():
@@ -198,6 +203,38 @@ REJECTED = {
     "request-arrival-nan": (
         lambda: ServiceRequest("r0", ONE_DEGREE, NAN),
         "request 'r0' arrival_time must be finite and >= 0, got nan",
+    ),
+    # A bool request count once gave one arrival, a float failed in range.
+    "uniform-count-True": (lambda: uniform_arrivals(True, 60.0),
+                           "n_requests must be an integer >= 0, got True"),
+    "uniform-count-2.5": (lambda: uniform_arrivals(2.5, 60.0),
+                          "n_requests must be an integer >= 0, got 2.5"),
+    "uniform-count-neg": (lambda: uniform_arrivals(-1, 60.0),
+                          "n_requests must be an integer >= 0, got -1"),
+    # A non-finite weight once failed inside numpy's sampler.
+    "stream-weight-inf": (
+        lambda: request_stream([0.0, 1.0], [ONE_DEGREE, ONE_DEGREE],
+                               weights=[math.inf, 1.0]),
+        "weight must be finite and >= 0, got inf",
+    ),
+    "stream-weight-nan": (
+        lambda: request_stream([0.0, 1.0], [ONE_DEGREE, ONE_DEGREE],
+                               weights=[NAN, 1.0]),
+        "weight must be finite and >= 0, got nan",
+    ),
+    # A NaN retention silently disabled the portal's cache; a NaN arrival
+    # failed later in serve() under an internal request id.
+    "portal-retention-nan": (
+        lambda: MontagePortal(4, cache_retention_months=NAN),
+        "cache_retention_months must be finite and >= 0, got nan",
+    ),
+    "portal-arrival-nan": (
+        lambda: MosaicRequest(M17, 1.0, NAN),
+        "arrival_time must be finite and >= 0, got nan",
+    ),
+    "portal-degree-nan": (
+        lambda: MosaicRequest(M17, NAN, 0.0),
+        "mosaic degree must be finite and > 0, got nan",
     ),
     # Objectives, deadlines and budgets: NaN was silently "infeasible"
     # after a full search, and an inf objective chose one processor.
