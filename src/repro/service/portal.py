@@ -28,8 +28,9 @@ from repro.montage.sky import SkyRegion, region as lookup_region
 from repro.service.arrivals import ServiceRequest
 from repro.service.cache import MosaicCache
 from repro.service.simulator import ServiceSimulator
+from repro.sim.datamanager import DataMode
 from repro.sim.executor import DEFAULT_BANDWIDTH
-from repro.sim.resources import check_finite
+from repro.sim.resources import check_bandwidth, check_finite, processor_count
 from repro.util.units import MONTH
 
 __all__ = ["MosaicRequest", "Fulfillment", "PortalReport", "MontagePortal"]
@@ -132,8 +133,10 @@ class MontagePortal:
         prestage_inputs: bool = False,
         bandwidth_bytes_per_sec: float = DEFAULT_BANDWIDTH,
     ) -> None:
+        self.n_processors = processor_count(n_processors)
+        DataMode(data_mode)  # raises on an unknown mode
+        check_bandwidth(bandwidth_bytes_per_sec)
         check_finite("cache_retention_months", cache_retention_months)
-        self.n_processors = n_processors
         self.data_mode = data_mode
         self.pricing = pricing
         self.cache_retention_months = cache_retention_months

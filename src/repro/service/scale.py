@@ -212,6 +212,42 @@ class TrafficSample:
         )
 
 
+#: Bucket count of the region sampler's inverse-CDF table (a power of
+#: two, so ``u * B`` and ``j / B`` are exact).  At 50,000 regions and
+#: Zipf exponent 1.0, 2**18 buckets leave 16% of draws to a full
+#: binary search (2**16 leave 28%).
+_REGION_BUCKETS = 1 << 18
+
+
+def _zipf_regions(
+    rng: np.random.Generator, n_regions: int, exponent: float, n: int
+) -> np.ndarray:
+    """``rng.choice(n_regions, size=n, p=zipf_probabilities(...))``,
+    bit for bit, without a full binary search per draw.
+
+    Performs ``Generator.choice``'s own steps — ``cdf = p.cumsum();
+    cdf /= cdf[-1]``, ``rng.random(n)``, ``cdf.searchsorted(u,
+    "right")`` — but answers the search from a bucket table first.
+    Bucket ``j`` covers ``[j/B, (j+1)/B)`` and ``table[j]`` counts the
+    CDF entries ``<= j/B``; when ``table[j] == table[j+1]`` no CDF
+    step lies in the bucket, so every draw in it searches to
+    ``table[j]``.  Only draws whose bucket holds a step are searched.
+    """
+    cdf = zipf_probabilities(n_regions, exponent).cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(n)
+    buckets = _REGION_BUCKETS
+    table = cdf.searchsorted(np.arange(buckets + 1) / buckets, "right")
+    stepped = table[1:] != table[:-1]
+    # ``random`` draws are multiples of 2**-53, so ``u * B`` is exact.
+    j = (u * buckets).astype(np.intp)
+    region = table[j]
+    search = stepped[j]
+    del j
+    region[search] = cdf.searchsorted(u[search], "right")
+    return region
+
+
 def _resolve_ttl_cache(
     keys: np.ndarray,
     times: np.ndarray,
@@ -228,36 +264,49 @@ def _resolve_ttl_cache(
     access is a hit; residency accrues ``min(gap, ttl)`` between
     consecutive accesses and ``min(ttl, horizon - last)`` after the
     last.  Returns ``(hit flags, per-class residency byte-seconds)``.
+    ``keys`` must be int64 in ``[0, n_classes * n_regions)``.
     """
     n = keys.size
     if n == 0 or ttl <= 0:
         return np.zeros(n, dtype=bool), np.zeros(n_classes)
-    # times are globally sorted, so a stable sort by key yields each
-    # key's accesses in time order.
-    order = np.argsort(keys, kind="stable")
-    k = keys[order]
+    if int(n_classes) * int(n_regions) * n >= 2**63:
+        raise ValueError(
+            f"TTL cache key space too large for int64: {n_classes} "
+            f"classes x {n_regions} regions x {n} requests >= 2**63"
+        )
+    # ``key * n + position`` is unique per request, so one unstable
+    # sort orders each key's accesses by position, which is time order
+    # (times are globally sorted) — the order of a stable argsort by
+    # key.
+    composite = keys * n
+    composite += np.arange(n)
+    composite.sort()
+    k, order = np.divmod(composite, n)
+    del composite
     t = times[order]
     same = np.empty(n, dtype=bool)
     same[0] = False
     same[1:] = k[1:] == k[:-1]
     gap = np.empty(n)
     gap[0] = np.inf
-    gap[1:] = t[1:] - t[:-1]
-    hit_sorted = same & (gap <= ttl)
+    np.subtract(t[1:], t[:-1], out=gap[1:])
     hits = np.empty(n, dtype=bool)
-    hits[order] = hit_sorted
+    hits[order] = same & (gap <= ttl)
+    del order
 
     # Residency between consecutive same-key accesses, attributed to
     # the class of the entry (same for both accesses of a pair).
-    pair_seconds = np.where(same, np.minimum(gap, ttl), 0.0)
-    cls_sorted = (k // n_regions).astype(np.int64)
+    pair_seconds = np.minimum(gap, ttl, out=gap)
+    pair_seconds[~same] = 0.0
+    cls_sorted = np.floor_divide(k, n_regions, out=k)
     residency = np.bincount(
         cls_sorted, weights=pair_seconds, minlength=n_classes
     )
+    del pair_seconds, gap
     # Tail residency past each key's final access.
     last = np.empty(n, dtype=bool)
     last[-1] = True
-    last[:-1] = ~same[1:]
+    np.logical_not(same[1:], out=last[:-1])
     tail_seconds = np.minimum(ttl, np.maximum(0.0, horizon - t[last]))
     residency += np.bincount(
         cls_sorted[last], weights=tail_seconds, minlength=n_classes
@@ -275,7 +324,12 @@ def sample_traffic(
 
     Deterministic per ``spec.seed``: arrivals, class assignment, region
     popularity and the resolved TTL cache all derive from seeded child
-    streams.
+    streams.  Classes are ``Generator.choice`` draws on the
+    ``[seed, 1]`` stream; regions reproduce ``Generator.choice`` on the
+    ``[seed, 2]`` stream step for step (cumulative sum, normalization,
+    ``random``, right-side search; see :func:`_zipf_regions`), so the
+    stream is bit-identical to ``choice``'s.  A golden test in
+    ``tests/service/test_scale.py`` pins the sampled columns.
     """
     if summaries is None:
         summaries = summarize_mix(
@@ -293,16 +347,15 @@ def sample_traffic(
         class_idx = np.zeros(n, dtype=np.int64)
     else:
         rng_class = np.random.default_rng([spec.seed, 1])
-        class_idx = rng_class.choice(
-            n_classes, size=n, p=spec.weights
-        ).astype(np.int64)
-    rng_region = np.random.default_rng([spec.seed, 2])
-    region = rng_region.choice(
+        class_idx = rng_class.choice(n_classes, size=n, p=spec.weights)
+    region = _zipf_regions(
+        np.random.default_rng([spec.seed, 2]),
         spec.n_regions,
-        size=n,
-        p=zipf_probabilities(spec.n_regions, spec.zipf_exponent),
-    ).astype(np.int64)
-    keys = class_idx * spec.n_regions + region
+        spec.zipf_exponent,
+        n,
+    )
+    keys = class_idx * spec.n_regions
+    keys += region
     mosaic_bytes = np.array([s.mosaic_bytes for s in summaries])
     hits, residency = _resolve_ttl_cache(
         keys,

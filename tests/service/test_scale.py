@@ -5,11 +5,17 @@ The differential tests against the event simulator live in
 engine is assembled from, each against an independent oracle:
 
 * class summaries vs direct fast-kernel runs (and blob memoization);
-* the vectorized TTL cache vs the sequential :class:`MosaicCache` loop;
+* the vectorized TTL cache vs the sequential :class:`MosaicCache` loop
+  and vs a stable-argsort resolver kept here as the oracle;
+* the bucketed region sampler vs ``Generator.choice``, and a golden
+  digest of one sampled stream;
 * engine invariants (zero traffic, overload backlog, pool
   monotonicity, hit-rate effects) and the economics identities;
 * capacity planning and autoscaling at scale.
 """
+
+import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +23,7 @@ import pytest
 from repro.core.pricing import AWS_2008
 from repro.montage.generator import montage_workflow
 from repro.provisioning import AutoscalePolicy, evaluate_autoscale
-from repro.service.cache import MosaicCache
+from repro.service.cache import MosaicCache, zipf_probabilities
 from repro.service.capacity import plan_capacity_at_scale
 from repro.service.scale import (
     EVENT_FEASIBLE_REQUESTS,
@@ -25,6 +31,7 @@ from repro.service.scale import (
     MixComponent,
     TrafficSpec,
     _resolve_ttl_cache,
+    _zipf_regions,
     montage_traffic,
     resolve_service_engine,
     sample_traffic,
@@ -148,6 +155,181 @@ class TestVectorizedTTLCache:
         assert hits.tolist() == [False, False, True, True]
         assert residency[0] == pytest.approx(20.0 + 80.0)
         assert residency[1] == pytest.approx((20.0 + 70.0) * 10.0)
+
+
+def stable_argsort_resolver(keys, times, ttl, horizon, n_classes,
+                            n_regions, mosaic_bytes):
+    """The TTL resolver as it was written with one stable argsort by
+    key: the oracle the composite-key sort must match bit for bit."""
+    n = keys.size
+    if n == 0 or ttl <= 0:
+        return np.zeros(n, dtype=bool), np.zeros(n_classes)
+    order = np.argsort(keys, kind="stable")
+    k = keys[order]
+    t = times[order]
+    same = np.empty(n, dtype=bool)
+    same[0] = False
+    same[1:] = k[1:] == k[:-1]
+    gap = np.empty(n)
+    gap[0] = np.inf
+    gap[1:] = t[1:] - t[:-1]
+    hits = np.empty(n, dtype=bool)
+    hits[order] = same & (gap <= ttl)
+    pair_seconds = np.where(same, np.minimum(gap, ttl), 0.0)
+    cls_sorted = (k // n_regions).astype(np.int64)
+    residency = np.bincount(
+        cls_sorted, weights=pair_seconds, minlength=n_classes
+    )
+    last = np.empty(n, dtype=bool)
+    last[-1] = True
+    last[:-1] = ~same[1:]
+    tail_seconds = np.minimum(ttl, np.maximum(0.0, horizon - t[last]))
+    residency += np.bincount(
+        cls_sorted[last], weights=tail_seconds, minlength=n_classes
+    )
+    return hits, residency * mosaic_bytes
+
+
+class TestResolverMatchesStableArgsort:
+    """One sort of unique ``key * n + position`` composites orders each
+    key's accesses exactly as the stable argsort did."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("ttl", [0.0, 3.0, 40.0, 1e9])
+    def test_multi_class_ties_and_repeats(self, seed, ttl):
+        rng = np.random.default_rng(seed)
+        n, n_classes, n_regions = 20_000, 3, 7  # 7: not a power of two
+        # Integer times: many requests share a timestamp.
+        times = np.sort(rng.integers(0, 500, size=n)).astype(float)
+        keys = (rng.integers(0, n_classes, size=n) * n_regions
+                + rng.integers(0, n_regions, size=n))
+        mosaic_bytes = np.array([1.5e6, 7e6, 3.25e8])
+        got = _resolve_ttl_cache(keys, times, ttl, 600.0, n_classes,
+                                 n_regions, mosaic_bytes)
+        want = stable_argsort_resolver(keys, times, ttl, 600.0, n_classes,
+                                       n_regions, mosaic_bytes)
+        assert np.array_equal(got[0], want[0])
+        assert got[1].tobytes() == want[1].tobytes()
+
+    def test_one_hot_key_and_singletons(self):
+        # Half the stream is one key, the rest never repeats.
+        n = 10_001
+        keys = np.where(np.arange(n) % 2 == 0, 5, np.arange(n) + 1_000)
+        times = np.repeat(np.arange(n // 10 + 1, dtype=float), 10)[:n]
+        args = (keys, times, 2.0, 2_000.0, 2, 15_000, np.array([1.0, 3.0]))
+        got, want = _resolve_ttl_cache(*args), stable_argsort_resolver(*args)
+        assert np.array_equal(got[0], want[0])
+        assert got[1].tobytes() == want[1].tobytes()
+
+    def test_largest_key_space_that_fits_int64(self):
+        n = 4
+        n_regions = (2**63 - 1) // n  # n_regions * n < 2**63
+        keys = np.array([n_regions - 1, 0, n_regions - 1, 0], dtype=np.int64)
+        times = np.array([0.0, 1.0, 2.0, 9.0])
+        args = (keys, times, 5.0, 10.0, 1, n_regions, np.ones(1))
+        got, want = _resolve_ttl_cache(*args), stable_argsort_resolver(*args)
+        assert got[0].tolist() == want[0].tolist() == [False, False, True,
+                                                       False]
+        assert got[1].tobytes() == want[1].tobytes()
+
+    def test_key_space_past_int64_raises_before_allocating(self):
+        keys = np.arange(4, dtype=np.int64)
+        times = np.arange(4.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="too large for int64"):
+                _resolve_ttl_cache(keys, times, 5.0, 10.0, 1, 2**62,
+                                   np.ones(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+
+class TestRegionSampler:
+    """``_zipf_regions`` is ``Generator.choice`` with a bucket table in
+    front of the binary search: the draws must be identical."""
+
+    @pytest.mark.parametrize("exponent", [0.0, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize(
+        "n_regions", [1, 2, 3, 1_000, 50_000, 500_000]  # > bucket count
+    )
+    def test_equals_generator_choice(self, n_regions, exponent):
+        p = zipf_probabilities(n_regions, exponent)
+        for n in (0, 1, 100_000):
+            for seed in (0, 7, 2024):
+                got = _zipf_regions(np.random.default_rng([seed, 2]),
+                                    n_regions, exponent, n)
+                want = np.random.default_rng([seed, 2]).choice(
+                    n_regions, size=n, p=p
+                )
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want), (n, seed)
+
+
+    @pytest.mark.parametrize("exponent", [0.0, 1.0])
+    @pytest.mark.parametrize("n_regions", [2, 3, 1_000, 50_000])
+    def test_draws_on_cdf_steps_and_bucket_edges(self, n_regions,
+                                                 exponent):
+        # Random draws almost never land exactly on a CDF value or a
+        # bucket edge; feed such draws directly to pin ties to the
+        # right-side search ``choice`` performs.
+        cdf = zipf_probabilities(n_regions, exponent).cumsum()
+        cdf /= cdf[-1]
+        edges = np.concatenate(
+            [np.arange(2**b) / 2**b for b in (1, 4, 16, 18)]
+        )
+        u = np.concatenate([cdf[:-1], edges])
+        u = np.concatenate([u, np.nextafter(u, 0.0), np.nextafter(u, 1.0)])
+        u = u[(u >= 0.0) & (u < 1.0)]
+
+        class Draws:
+            def random(self, n):
+                assert n == u.size
+                return u.copy()
+
+        got = _zipf_regions(Draws(), n_regions, exponent, u.size)
+        assert np.array_equal(got, cdf.searchsorted(u, "right"))
+
+
+class TestGoldenSample:
+    """Pins one sampled stream; the values were recorded with the
+    stable-argsort resolver and ``Generator.choice`` regions."""
+
+    DIGESTS = {
+        "times": "2f7c24c3dcfd33d57231e1e4bbbcbf4ade5b2d1c"
+                 "eba450e1df01a300c6e8a579",
+        "class_idx": "6ac291464e95f15273fd80504904d8a7bc7ce525"
+                     "d0fdf39994800f8b9afb5423",
+        "region": "c40f4156705eb3b1980d2b2732673ca9aa709013"
+                  "4484cf087894a076af5cc3d6",
+        "hit": "cc4a50cc85e4daf57ad1ba360f4a7c535b28833f"
+               "e257a7b27a9c1e7ee01ec31c",
+    }
+    RESIDENCY = ["0x1.603e4a1563845p+59", "0x1.ac4dc82affc3fp+60"]
+
+    def test_two_class_stream_is_pinned(self):
+        spec = TrafficSpec(
+            requests_per_month=100_000,
+            horizon_months=1.0,
+            mix=(
+                MixComponent(montage_workflow(1.0), weight=3.0),
+                MixComponent(montage_workflow(2.0), weight=1.0),
+            ),
+            n_regions=2_000,
+            retention_months=0.5,
+            seed=9,
+        )
+        sample = sample_traffic(spec, cache=SimCache())
+        assert sample.n_requests == 100_077
+        digests = {
+            name: hashlib.sha256(getattr(sample, name).tobytes()).hexdigest()
+            for name in self.DIGESTS
+        }
+        assert digests == self.DIGESTS
+        assert [float(x).hex() for x in sample.residency_byte_seconds] == (
+            self.RESIDENCY
+        )
 
 
 class TestTrafficSampling:
@@ -285,6 +467,36 @@ class TestFluidEngine:
             "p95_response", "cost_per_request",
         ):
             assert result.trajectories[name].shape == (n_epochs,), name
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_response_trajectories_are_per_epoch_statistics(
+        self, traffic_sample, sparse
+    ):
+        sample = (
+            sample_traffic(montage_traffic(2_000.0, n_regions=100, seed=4))
+            if sparse else traffic_sample  # sparse: most epochs empty
+        )
+        delta = 7_200.0 if not sparse else 600.0
+        result = FluidServiceEngine(512, epoch_seconds=delta).run(sample)
+        responses = result.response_times()
+        n_epochs = int(np.ceil(sample.horizon / delta))
+        epoch = np.minimum(
+            (sample.times / delta).astype(np.int64), n_epochs - 1
+        )
+        p95 = np.zeros(n_epochs)
+        mean = np.zeros(n_epochs)
+        for e in range(n_epochs):
+            values = responses[epoch == e]
+            if values.size:
+                p95[e] = np.percentile(values, 95)
+                mean[e] = values.mean()
+        if sparse:
+            assert (p95 == 0).sum() > n_epochs // 2
+        assert np.array_equal(result.trajectories["p95_response"], p95)
+        # The engine sums by bincount, ``mean`` pairwise: last-bit slack.
+        assert result.trajectories["mean_response"] == pytest.approx(
+            mean, rel=1e-12, abs=0.0
+        )
 
     def test_economics_identities(self, traffic_sample):
         result = FluidServiceEngine(512).run(traffic_sample)

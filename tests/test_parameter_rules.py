@@ -228,6 +228,16 @@ REJECTED = {
         lambda: MontagePortal(4, cache_retention_months=NAN),
         "cache_retention_months must be finite and >= 0, got nan",
     ),
+    # A float pool, an unknown mode or a zero bandwidth once failed only
+    # inside serve(), after the cache pass had run.
+    "portal-processors-2.5": (lambda: MontagePortal(2.5),
+                              "n_processors must be an integer, got 2.5"),
+    "portal-mode-bogus": (lambda: MontagePortal(4, data_mode="bogus"),
+                          "'bogus' is not a valid DataMode"),
+    "portal-bandwidth-0": (
+        lambda: MontagePortal(4, bandwidth_bytes_per_sec=0.0),
+        "bandwidth must be positive, got 0.0",
+    ),
     "portal-arrival-nan": (
         lambda: MosaicRequest(M17, 1.0, NAN),
         "arrival_time must be finite and >= 0, got nan",
