@@ -29,8 +29,8 @@ alone (see :mod:`repro.audit.campaign`).
 
 Entry points: :func:`audit_simulation` (library),
 ``simulate(..., audit=True)`` (one-call), ``run_jobs(..., audit=True)``
-/ ``REPRO_SWEEP_AUDIT=1`` (sweeps), ``python -m repro report
---audit`` (the full paper report, every point audited), and
+(sweeps), ``python -m repro report --audit`` (the full paper report,
+every point audited), and
 :func:`audit_campaign` / ``python -m repro campaign --audit``
 (campaign provenance logs).
 """

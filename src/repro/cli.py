@@ -279,8 +279,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _cmd_service(args: argparse.Namespace) -> int:
-    import numpy as np
-
     from repro.service.scale import (
         FluidServiceEngine,
         montage_traffic,
@@ -331,7 +329,11 @@ def _cmd_service(args: argparse.Namespace) -> int:
                 zip(sample.times[misses], sample.class_idx[misses])
             )
         ]
-        result = ServiceSimulator(args.processors).run(requests)
+        result = ServiceSimulator(
+            args.processors,
+            spec.data_mode,
+            bandwidth_bytes_per_sec=spec.bandwidth_bytes_per_sec,
+        ).run(requests)
         # An undersized pool drains past the nominal horizon; the pool
         # is then held until the backlog clears.
         eco = service_economics(
@@ -352,17 +354,12 @@ def _cmd_service(args: argparse.Namespace) -> int:
         engine = FluidServiceEngine(args.processors)
         result = engine.run(sample)
         eco = result.economics
-        misses = ~sample.hit
-        p95_miss = (
-            float(np.percentile(result.response_times()[misses], 95.0))
-            if misses.any()
-            else 0.0
-        )
         rows += [
             ("mean response", format_duration(eco.mean_response_time)),
             ("mean response (miss)",
              format_duration(result.miss_mean_response_time())),
-            ("p95 response (miss)", format_duration(p95_miss)),
+            ("p95 response (miss)",
+             format_duration(result.miss_percentile_response_time(95.0))),
             ("pool utilization", f"{eco.pool_utilization:.1%}"),
             ("peak backlog (jobs)", f"{result.peak_backlog():,.0f}"),
             ("pool bill", format_money(eco.pool_cpu_cost)),

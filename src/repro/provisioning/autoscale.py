@@ -158,20 +158,14 @@ def evaluate_autoscale(
     fixed = engine.run(sample)
     scaled = engine.run(sample, controller=policy.controller())
 
-    def p95_miss(result) -> float:
-        misses = ~sample.hit
-        if not misses.any():
-            return 0.0
-        return float(np.percentile(result.response_times()[misses], 95.0))
-
     pool_traj = scaled.trajectories["pool"]
     return AutoscaleOutcome(
         policy=policy,
         baseline_processors=baseline_processors,
         fixed_cost=fixed.economics.total_cost,
         scaled_cost=scaled.economics.total_cost,
-        fixed_p95_miss=p95_miss(fixed),
-        scaled_p95_miss=p95_miss(scaled),
+        fixed_p95_miss=fixed.miss_percentile_response_time(95.0),
+        scaled_p95_miss=scaled.miss_percentile_response_time(95.0),
         fixed_peak_backlog=fixed.peak_backlog(),
         scaled_peak_backlog=scaled.peak_backlog(),
         mean_pool=float(pool_traj.mean()) if pool_traj.size else 0.0,

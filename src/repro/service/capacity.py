@@ -19,8 +19,6 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.pricing import AWS_2008, PricingModel
 from repro.service.arrivals import ServiceRequest
 from repro.service.economics import ServiceEconomics, service_economics
@@ -183,19 +181,13 @@ def plan_capacity_at_scale(
     check_finite("objective_p95_seconds", objective_p95_seconds, positive=True)
     if sample.n_requests == 0:
         raise ValueError("empty traffic sample")
-    misses = ~sample.hit
 
     def evaluate(p: int) -> ScaleCandidate:
         engine = FluidServiceEngine(
             p, epoch_seconds=epoch_seconds, pricing=pricing, cache=cache
         )
         result = engine.run(sample)
-        responses = result.response_times()
-        p95_miss = (
-            float(np.percentile(responses[misses], 95.0))
-            if misses.any()
-            else 0.0
-        )
+        p95_miss = result.miss_percentile_response_time(95.0)
         eco = result.economics
         return ScaleCandidate(
             n_processors=p,

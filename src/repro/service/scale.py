@@ -163,9 +163,10 @@ def montage_traffic(
 class TrafficSample:
     """A sampled request stream, columnar.
 
-    One row per request: arrival time, workflow class, sky region, and
-    the resolved result-cache verdict.  ``residency_byte_seconds`` is
-    the cache's total storage residency (for rent), per class.
+    One row per request, in arrival order (``times`` is sorted): arrival
+    time, workflow class, sky region, and the resolved result-cache
+    verdict.  ``residency_byte_seconds`` is the cache's total storage
+    residency (for rent), per class.
     """
 
     spec: TrafficSpec
@@ -483,10 +484,13 @@ class FluidServiceResult(ResponseStats):
 
     def miss_mean_response_time(self) -> float:
         """Mean response over cache misses only (the queue+service path)."""
-        misses = ~self.sample.hit
-        if not misses.any():
-            return 0.0
-        return float(self._response_times[misses].mean())
+        misses = self._response_times[~self.sample.hit]
+        return float(misses.mean()) if misses.size else 0.0
+
+    def miss_percentile_response_time(self, q: float) -> float:
+        """q-th percentile response over cache misses only (q in [0, 100])."""
+        misses = self._response_times[~self.sample.hit]
+        return float(np.percentile(misses, q)) if misses.size else 0.0
 
     def pool_utilization(self) -> float:
         util = self.trajectories["utilization"]
@@ -561,19 +565,26 @@ class FluidServiceEngine:
         delta = self.epoch_seconds
         n_epochs = max(1, int(np.ceil(sample.horizon / delta)))
 
+        # Arrival times are sorted and rounded division is monotone, so
+        # ``epoch_idx`` is non-decreasing: epoch ``e``'s requests are the
+        # rows ``bounds[e]:bounds[e + 1]``.
         epoch_idx = np.minimum(
             (sample.times / delta).astype(np.int64), n_epochs - 1
         )
-        miss = ~sample.hit
-        # Per-epoch, per-class miss counts in one bincount.
-        flat = epoch_idx[miss] * n_classes + sample.class_idx[miss]
-        miss_counts = np.bincount(
-            flat, minlength=n_epochs * n_classes
-        ).reshape(n_epochs, n_classes).astype(float)
-        requests_per_epoch = np.bincount(
-            epoch_idx, minlength=n_epochs
-        ).astype(float)
-        hits_per_epoch = requests_per_epoch - miss_counts.sum(axis=1)
+        bounds = epoch_idx.searchsorted(np.arange(n_epochs + 1))
+        requests_per_epoch = np.diff(bounds).astype(float)
+        # Every per-epoch, per-class count from one (verdict, epoch,
+        # class) table; verdict-major, so both halves are contiguous.
+        flat = sample.hit * n_epochs
+        flat += epoch_idx
+        flat *= n_classes
+        flat += sample.class_idx
+        counts = np.bincount(
+            flat, minlength=2 * n_epochs * n_classes
+        ).reshape(2, n_epochs, n_classes)
+        del flat
+        miss_counts = counts[0].astype(float)
+        hit_counts = counts[1]
 
         # Global-mix fallbacks for empty epochs.
         weights = spec.weights
@@ -583,16 +594,16 @@ class FluidServiceEngine:
         backlog = np.zeros(n_epochs)
         wait = np.zeros(n_epochs)
 
-        makespans_cache: dict[int, np.ndarray] = {}
-        busy_cache: dict[int, np.ndarray] = {}
+        # Per-pool-size (makespan, busy) vectors over the classes.
+        vectors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
         def class_vectors(c: int) -> tuple[np.ndarray, np.ndarray]:
-            if c not in makespans_cache:
-                makespans_cache[c] = np.array(
-                    [s.makespan(c) for s in summaries]
+            if c not in vectors:
+                vectors[c] = (
+                    np.array([s.makespan(c) for s in summaries]),
+                    np.array([s.busy(c) for s in summaries]),
                 )
-                busy_cache[c] = np.array([s.busy(c) for s in summaries])
-            return makespans_cache[c], busy_cache[c]
+            return vectors[c]
 
         q = 0.0  # backlog, in whole-workflow jobs
         c = self.n_processors
@@ -662,27 +673,30 @@ class FluidServiceEngine:
             }
 
         # ---------------- sampled per-request outcomes ---------------- #
+        # ``pool == sizes[size_of_epoch]``: each distinct pool size once.
+        sizes, size_of_epoch = np.unique(pool, return_inverse=True)
         mosaic_bytes = np.array([s.mosaic_bytes for s in summaries])
         responses = np.empty(sample.n_requests)
-        hit_idx = sample.hit
-        responses[hit_idx] = (
-            mosaic_bytes[sample.class_idx[hit_idx]]
+        hit = sample.hit
+        responses[hit] = (
+            mosaic_bytes[sample.class_idx[hit]]
             / spec.bandwidth_bytes_per_sec
         )
         # Misses: epoch wait + solo makespan at their epoch's pool.
+        miss = ~hit
         miss_epochs = epoch_idx[miss]
-        miss_classes = sample.class_idx[miss]
-        if len(makespans_cache) == 1:
-            make_per_class = next(iter(makespans_cache.values()))
-            miss_makespans = make_per_class[miss_classes]
-        else:
-            per_epoch_make = np.stack(
-                [class_vectors(int(pc))[0] for pc in pool]
-            )
-            miss_makespans = per_epoch_make[miss_epochs, miss_classes]
-        responses[miss] = wait[miss_epochs] + miss_makespans
+        make_by_size = np.stack([vectors[int(c)][0] for c in sizes])
+        responses[miss] = (
+            wait[miss_epochs]
+            + make_by_size[
+                size_of_epoch[miss_epochs], sample.class_idx[miss]
+            ]
+        )
         responses.setflags(write=False)
 
+        p95 = np.zeros(n_epochs)
+        for e in np.flatnonzero(requests_per_epoch):
+            p95[e] = np.percentile(responses[bounds[e]:bounds[e + 1]], 95.0)
         trajectories = {
             "epoch_start": np.arange(n_epochs) * delta,
             "arrival_rate": requests_per_epoch / delta,
@@ -690,20 +704,20 @@ class FluidServiceEngine:
             "backlog_jobs": backlog,
             "wait": wait,
             "pool": pool,
-            "mean_response": _grouped_mean(
-                responses, epoch_idx, n_epochs
+            "mean_response": _per_request(
+                np.bincount(epoch_idx, weights=responses,
+                            minlength=n_epochs),
+                requests_per_epoch,
             ),
-            "p95_response": _grouped_percentile(
-                responses, epoch_idx, n_epochs, 95.0
-            ),
+            "p95_response": p95,
         }
         economics = self._economics(
             sample, summaries, responses, pool, delta,
-            miss_counts, hits_per_epoch, trajectories,
+            miss_counts.sum(axis=0), hit_counts.sum(axis=0), utilization,
         )
         trajectories["cost_per_request"] = self._cost_trajectory(
-            sample, summaries, pool, delta, miss_counts,
-            requests_per_epoch,
+            summaries, sizes, size_of_epoch, delta, miss_counts,
+            hit_counts, requests_per_epoch,
         )
         elapsed = time.perf_counter() - t_start
         return FluidServiceResult(
@@ -745,23 +759,19 @@ class FluidServiceEngine:
         responses: np.ndarray,
         pool: np.ndarray,
         delta: float,
-        miss_counts: np.ndarray,
-        hits_per_epoch: np.ndarray,
-        trajectories: dict[str, np.ndarray],
+        miss_by_class: np.ndarray,
+        hit_by_class: np.ndarray,
+        util: np.ndarray,
     ) -> ScaleEconomics:
         pricing = self.pricing
         pool_seconds = float(pool.sum()) * delta
         pool_cpu = pricing.cpu_cost(
             pool_seconds, n_instances=int(pool.max(initial=1))
         )
-        miss_by_class = miss_counts.sum(axis=0)
         on_demand = self._on_demand_total(
             summaries, miss_by_class, self.n_processors
         )
         mosaic_bytes = np.array([s.mosaic_bytes for s in summaries])
-        hit_by_class = np.bincount(
-            sample.class_idx[sample.hit], minlength=len(summaries)
-        ).astype(float)
         serve = float(
             sum(
                 pricing.transfer_out_cost(b) * n
@@ -771,7 +781,6 @@ class FluidServiceEngine:
         cache_rent = float(
             pricing.storage_cost(float(sample.residency_byte_seconds.sum()))
         )
-        util = trajectories["utilization"]
         return ScaleEconomics(
             n_requests=sample.n_requests,
             n_misses=int(miss_by_class.sum()),
@@ -792,21 +801,20 @@ class FluidServiceEngine:
 
     def _cost_trajectory(
         self,
-        sample: TrafficSample,
         summaries: tuple[ClassSummary, ...],
-        pool: np.ndarray,
+        sizes: np.ndarray,
+        size_of_epoch: np.ndarray,
         delta: float,
         miss_counts: np.ndarray,
+        hit_counts: np.ndarray,
         requests_per_epoch: np.ndarray,
     ) -> np.ndarray:
         """Per-epoch operator cost per request served in that epoch."""
         pricing = self.pricing
-        pool_cost = np.array(
+        size_cost = np.array(
             [pricing.cpu_cost(float(c) * delta, n_instances=int(c))
-             for c in np.unique(pool)]
+             for c in sizes]
         )
-        per_pool = dict(zip(np.unique(pool), pool_cost))
-        epoch_pool_cost = np.array([per_pool[c] for c in pool])
         gen_unit = np.array(
             [
                 pricing.transfer_in_cost(s.bytes_in)
@@ -818,56 +826,17 @@ class FluidServiceEngine:
         serve_unit = np.array(
             [pricing.transfer_out_cost(s.mosaic_bytes) for s in summaries]
         )
-        # Hits per epoch per class for serve fees.
-        n_classes = len(summaries)
-        hit_mask = sample.hit
-        epoch_idx = np.minimum(
-            (sample.times / delta).astype(np.int64), pool.size - 1
-        )
-        flat = epoch_idx[hit_mask] * n_classes + sample.class_idx[hit_mask]
-        hit_counts = np.bincount(
-            flat, minlength=pool.size * n_classes
-        ).reshape(pool.size, n_classes)
         epoch_cost = (
-            epoch_pool_cost
+            size_cost[size_of_epoch]
             + miss_counts @ gen_unit
             + hit_counts @ serve_unit
         )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            per_request = np.where(
-                requests_per_epoch > 0,
-                epoch_cost / np.maximum(requests_per_epoch, 1.0),
-                0.0,
-            )
-        return per_request
+        return _per_request(epoch_cost, requests_per_epoch)
 
 
-def _grouped_mean(
-    values: np.ndarray, groups: np.ndarray, n_groups: int
-) -> np.ndarray:
-    counts = np.bincount(groups, minlength=n_groups)
-    sums = np.bincount(groups, weights=values, minlength=n_groups)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
-
-
-def _grouped_percentile(
-    values: np.ndarray, groups: np.ndarray, n_groups: int, q: float
-) -> np.ndarray:
-    out = np.zeros(n_groups)
-    if values.size == 0:
-        return out
-    order = np.argsort(groups, kind="stable")
-    sorted_groups = groups[order]
-    sorted_values = values[order]
-    bounds = np.searchsorted(
-        sorted_groups, np.arange(n_groups + 1), side="left"
-    )
-    for g in range(n_groups):
-        lo, hi = bounds[g], bounds[g + 1]
-        if hi > lo:
-            out[g] = np.percentile(sorted_values[lo:hi], q)
-    return out
+def _per_request(totals: np.ndarray, requests: np.ndarray) -> np.ndarray:
+    """Per-epoch ``totals / requests``; 0 in epochs without requests."""
+    return np.where(requests > 0, totals / np.maximum(requests, 1.0), 0.0)
 
 
 # ------------------------------------------------------------------ #

@@ -29,6 +29,15 @@ __all__ = ["FailureModel", "WorkflowAbortedError"]
 class WorkflowAbortedError(RuntimeError):
     """A task exhausted its retry budget; the execution cannot complete."""
 
+    @classmethod
+    def exhausted(cls, task_id: str, attempt: int) -> "WorkflowAbortedError":
+        """The error for ``task_id`` failing ``attempt`` with no retries
+        left (every engine raises this message verbatim)."""
+        return cls(
+            f"task {task_id!r} failed on attempt {attempt} with no "
+            "retries left"
+        )
+
 
 def check_failure_parameters(probabilities, max_retries) -> None:
     """``ValueError`` unless every probability is in ``[0, 1)`` (not NaN)
@@ -65,8 +74,5 @@ class FailureModel:
             return False
         failed = bool(self._rng.random() < self.task_failure_probability)
         if failed and attempt > self.max_retries:
-            raise WorkflowAbortedError(
-                f"task {task_id!r} failed on attempt {attempt} with no "
-                "retries left"
-            )
+            raise WorkflowAbortedError.exhausted(task_id, attempt)
         return failed

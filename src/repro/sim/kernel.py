@@ -1492,9 +1492,8 @@ def _run_turbo_core(
                     # One verdict per completion event processed so far.
                     failed = verdicts[n_done + n_failures]
                     if failed and attempt > max_retries:
-                        raise WorkflowAbortedError(
-                            f"task {task_ids[t]!r} failed on attempt "
-                            f"{attempt} with no retries left"
+                        raise WorkflowAbortedError.exhausted(
+                            task_ids[t], attempt
                         )
                 if failed:
                     # Retry on the same still-held processor, completion
@@ -1719,9 +1718,6 @@ class _SeedDraws:
         self.n = target
         self._flags.clear()
 
-    def extend(self) -> None:
-        self.ensure(self.n + self.chunk)
-
     def flags(self, probability: float) -> np.ndarray:
         """``draws < probability`` over the materialized prefix, cached."""
         cached = self._flags.get(probability)
@@ -1767,34 +1763,19 @@ def _verdict_fixpoint(
         L = target
 
 
-def _matrix_hook(
-    stream: _SeedDraws,
-    probability: float,
-    max_retries: int,
-    task_ids: list[str],
-):
-    """Failure hook over a pre-drawn per-attempt matrix row.
+def _prefix_hook(verdicts: bytes, max_retries: int, task_ids: list[str]):
+    """Failure hook replaying one cell's verdict prefix, in draw order.
 
-    One vectorized ``draws < p`` comparison per stream growth replaces
-    the engine's per-draw scalar compare (same IEEE-754 comparison, so
-    the verdicts are identical); the loop then just indexes booleans.
+    :func:`_verdict_fixpoint` proves the cell makes exactly
+    ``len(verdicts)`` draws (fewer if it aborts), so completion ``i``
+    reads ``verdicts[i]`` and never runs past the end.
     """
-    state = [0, stream.flags(probability)]
+    draws = iter(verdicts)
 
     def fail(t: int, attempt: int) -> bool:
-        i = state[0]
-        flags = state[1]
-        if i >= flags.shape[0]:
-            stream.extend()
-            flags = stream.flags(probability)
-            state[1] = flags
-        failed = bool(flags[i])
-        state[0] = i + 1
+        failed = next(draws) == 1
         if failed and attempt > max_retries:
-            raise WorkflowAbortedError(
-                f"task {task_ids[t]!r} failed on attempt {attempt} with no "
-                "retries left"
-            )
+            raise WorkflowAbortedError.exhausted(task_ids[t], attempt)
         return failed
 
     return fail
@@ -2018,11 +1999,10 @@ def run_monte_carlo(
         # Everything else replays the routed loop from the start behind
         # a failure hook, in grid order, so a deadlocking capacity
         # raises the first deadlocking cell's diagnostic.
-        for p, seed, key in grid:
+        for _, _, key in grid:
             if key not in pattern_cache:
                 fail = (
-                    _matrix_hook(streams[seed], p, max_retries, task_ids)
-                    if key else None
+                    _prefix_hook(key, max_retries, task_ids) if key else None
                 )
                 settle(key, lambda: _run_routed(
                     workflow, low, env, mode, ordering, tr_dur, exec_dur,

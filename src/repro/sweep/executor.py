@@ -58,9 +58,6 @@ __all__ = [
 #: Environment override for the worker count (1 = force serial).
 WORKERS_ENV = "REPRO_SWEEP_WORKERS"
 
-#: Environment override for auditing ("1" audits every executed job).
-AUDIT_ENV = "REPRO_SWEEP_AUDIT"
-
 #: Cap on the auto-detected worker count; the grid's default plan has
 #: eight shards, so more workers than that would only idle.
 MAX_AUTO_WORKERS = 8
@@ -107,12 +104,9 @@ def set_default_audit(enabled: bool) -> bool:
 
 
 def resolve_audit(audit: bool | None = None) -> bool:
-    """Effective audit flag: explicit arg, else env var, else the default."""
+    """Effective audit flag: explicit arg, else the process-wide default."""
     if audit is not None:
         return bool(audit)
-    env = os.environ.get(AUDIT_ENV)
-    if env is not None:
-        return env.strip().lower() not in ("", "0", "false", "no")
     return _default_audit
 
 
@@ -234,8 +228,8 @@ def run_jobs(
     This is what the experiment modules use; with default arguments every
     call in the process shares one cache, so repeated points across
     experiments are simulated exactly once.  ``audit=True`` (or
-    ``REPRO_SWEEP_AUDIT=1``, or :func:`set_default_audit`) instead runs
-    every job fresh under the trace auditor, raising
-    :class:`repro.audit.AuditError` on the first violation.
+    :func:`set_default_audit`) instead runs every job fresh under the
+    trace auditor, raising :class:`repro.audit.AuditError` on the first
+    violation.
     """
     return SweepExecutor(cache=cache, audit=audit).run(jobs)

@@ -38,7 +38,6 @@ class TestWarmRerun:
     def isolated_default_cache(self, monkeypatch):
         """A fresh in-memory default cache, restored after the test."""
         monkeypatch.delenv(cache_module.CACHE_DIR_ENV, raising=False)
-        monkeypatch.delenv("REPRO_SWEEP_AUDIT", raising=False)
         cache_module.reset_default_cache()
         yield cache_module.default_cache()
         cache_module.reset_default_cache()

@@ -9,17 +9,21 @@ engine is assembled from, each against an independent oracle:
   and vs a stable-argsort resolver kept here as the oracle;
 * the bucketed region sampler vs ``Generator.choice``, and a golden
   digest of one sampled stream;
+* golden digests of two engine runs (response column, every
+  trajectory, every economics field);
 * engine invariants (zero traffic, overload backlog, pool
   monotonicity, hit-rate effects) and the economics identities;
 * capacity planning and autoscaling at scale.
 """
 
+import dataclasses
 import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.core.costs import CostBreakdown
 from repro.core.pricing import AWS_2008
 from repro.montage.generator import montage_workflow
 from repro.provisioning import AutoscalePolicy, evaluate_autoscale
@@ -292,6 +296,20 @@ class TestRegionSampler:
         assert np.array_equal(got, cdf.searchsorted(u, "right"))
 
 
+def _golden_spec():
+    return TrafficSpec(
+        requests_per_month=100_000,
+        horizon_months=1.0,
+        mix=(
+            MixComponent(montage_workflow(1.0), weight=3.0),
+            MixComponent(montage_workflow(2.0), weight=1.0),
+        ),
+        n_regions=2_000,
+        retention_months=0.5,
+        seed=9,
+    )
+
+
 class TestGoldenSample:
     """Pins one sampled stream; the values were recorded with the
     stable-argsort resolver and ``Generator.choice`` regions."""
@@ -309,18 +327,7 @@ class TestGoldenSample:
     RESIDENCY = ["0x1.603e4a1563845p+59", "0x1.ac4dc82affc3fp+60"]
 
     def test_two_class_stream_is_pinned(self):
-        spec = TrafficSpec(
-            requests_per_month=100_000,
-            horizon_months=1.0,
-            mix=(
-                MixComponent(montage_workflow(1.0), weight=3.0),
-                MixComponent(montage_workflow(2.0), weight=1.0),
-            ),
-            n_regions=2_000,
-            retention_months=0.5,
-            seed=9,
-        )
-        sample = sample_traffic(spec, cache=SimCache())
+        sample = sample_traffic(_golden_spec(), cache=SimCache())
         assert sample.n_requests == 100_077
         digests = {
             name: hashlib.sha256(getattr(sample, name).tobytes()).hexdigest()
@@ -330,6 +337,138 @@ class TestGoldenSample:
         assert [float(x).hex() for x in sample.residency_byte_seconds] == (
             self.RESIDENCY
         )
+
+
+def _engine_digests(result):
+    """SHA-256 of the response column and of every trajectory."""
+    columns = {"responses": result.response_times(), **result.trajectories}
+    return {
+        name: hashlib.sha256(column.tobytes()).hexdigest()
+        for name, column in columns.items()
+    }
+
+
+def _economics_hex(economics):
+    """``float.hex`` of every ``ScaleEconomics`` field (counts as ints)."""
+    out = {}
+    for f in dataclasses.fields(economics):
+        value = getattr(economics, f.name)
+        if isinstance(value, CostBreakdown):
+            for g in dataclasses.fields(value):
+                out[f"{f.name}.{g.name}"] = getattr(value, g.name).hex()
+        else:
+            out[f.name] = value.hex() if isinstance(value, float) else value
+    return out
+
+
+class TestGoldenEngine:
+    """Pins two engine runs bit for bit; the values were recorded
+    before the engine's per-epoch tallies were folded into one table."""
+
+    RESIZING = {
+        "responses": "4cbe7ba97c97524a803d54fa51cbaabf"
+                     "a61d4e7af1b0071f9be1c9e18e8422c0",
+        "epoch_start": "a3ea667ae544cc450e13b98dee788c67"
+                       "c4c8126d549e1f6d964e7dcf95ee81b6",
+        "arrival_rate": "c57d367e1b00d6106c9755ad22d3c328"
+                        "5cc63bfdfc7c1c3eb97c5074afa04adf",
+        "utilization": "436f750b64e6723104d8cafde349de0c"
+                       "d5886635b5b4c6be25c0f33d878d1215",
+        "backlog_jobs": "22f53f839fec60bdbaf57876aca89436"
+                        "129497b584f701c268cde7cc2d37e111",
+        "wait": "2be9f99eab6e8e5f8168a8daac74d0e5"
+                "4a7274b56008f2922c9c94e747d5e237",
+        "pool": "50cbf1d710dc10edf1a2305f7c870015"
+                "013893e96195ea44be935c67d170bba2",
+        "mean_response": "e008cb5d51d5adc122c138a9fe474851"
+                         "38d472208311d02d73a41c3e33af64f2",
+        "p95_response": "1566f256e4e7ef150f2e6463c46ac771"
+                        "4f031898053ff41e49832157b6896b12",
+        "cost_per_request": "4e37e14d39276a7891a86c299c9b6a88"
+                            "64087163249ad9772da68f96bfef966d",
+    }
+    RESIZING_ECONOMICS = {
+        "n_requests": 100_077,
+        "n_misses": 4_134,
+        "pool_processor_seconds": "0x1.82f0400000000p+28",
+        "pool_cpu_cost": "0x1.6033333333333p+13",
+        "on_demand_total.cpu_cost": "0x1.4e2163f1411efp+12",
+        "on_demand_total.storage_cost": "0x1.1b6973d9bfe1dp-2",
+        "on_demand_total.transfer_in_cost": "0x1.c0d9036b8928ep+7",
+        "on_demand_total.transfer_out_cost": "0x1.e778525f7bef2p+7",
+        "on_demand_total.vm_fixed_cost": "0x0.0p+0",
+        "serve_cost": "0x1.fd129fd94ebb6p+11",
+        "cache_storage_cost": "0x1.3b0e880466941p+7",
+        "mean_response_time": "0x1.a9cfa8d603212p+10",
+        "p95_response_time": "0x1.be51eb851eb85p+8",
+        "pool_utilization": "0x1.bb3ae2ba2fb75p-2",
+    }
+    SPARSE = {
+        "responses": "f3af1c734b65d5e9b4c7ac5cbe8ae52c"
+                     "0f4fffe18411166bb23d8f101225f52f",
+        "epoch_start": "c26b32a7f4972b8f82a268a2f73a5516"
+                       "6957154bc6cbbc1145c77e0bd91f3cae",
+        "arrival_rate": "a5fc942da60e3117efccc833bb6589f8"
+                        "5e855a81c2988f3be51a5be00ebe2f1f",
+        "utilization": "1bd31117ab47586823ac09fd311303d3"
+                       "b9d7dfae16c56f48cea0512230608779",
+        "backlog_jobs": "92fb09750a29d5f0fd000c5bde1dd3d3"
+                        "7381e51bc58a7f6be68a8d1aea9011b1",
+        "wait": "e5f65ced352217affa480c59dd8e0355"
+                "64a47e1366f88a882ef129a97e5a0a2a",
+        "pool": "4e31a2d323e850323376791cfa90cb55"
+                "fc7d71da20ba5432f84ef2c837323f4e",
+        "mean_response": "93bf557e4a0324537b5793de3c0b8952"
+                         "3314832a54e4e2133dad531ffae5b101",
+        "p95_response": "8a3538475e84a7af2098f0c1f309c1e5"
+                        "76bc6d0c5f2e9b716efcabe30d15fac0",
+        "cost_per_request": "6610ea8b3d573dcd4aad215d728c4b2e"
+                            "32757f3e37712346ac2f66c99613c959",
+    }
+    SPARSE_ECONOMICS = {
+        "n_requests": 2_013,
+        "n_misses": 100,
+        "pool_processor_seconds": "0x1.3c68000000000p+25",
+        "pool_cpu_cost": "0x1.2000000000000p+10",
+        "on_demand_total.cpu_cost": "0x1.c29d0369d0374p+5",
+        "on_demand_total.storage_cost": "0x1.260964b4321ecp-8",
+        "on_demand_total.transfer_in_cost": "0x1.2ae590e8f0efdp+1",
+        "on_demand_total.transfer_out_cost": "0x1.66cc6d2b7c859p+1",
+        "on_demand_total.vm_fixed_cost": "0x0.0p+0",
+        "serve_cost": "0x1.a8bdb85cd33fcp+5",
+        "cache_storage_cost": "0x1.25035717889d6p+1",
+        "mean_response_time": "0x1.0410b62ca8f2bp+8",
+        "p95_response_time": "0x1.1589374bc6a7fp+7",
+        "pool_utilization": "0x1.908b91419ca2fp-5",
+    }
+
+    def test_two_class_mix_with_resizing_controller(self):
+        cache = SimCache()
+        sample = sample_traffic(_golden_spec(), cache=cache)
+
+        def controller(epoch, state):
+            if state["utilization"] > 0.6:
+                return 256
+            return 64 if epoch % 5 == 0 else 128
+
+        result = FluidServiceEngine(128, cache=cache).run(
+            sample, controller=controller
+        )
+        assert set(np.unique(result.trajectories["pool"])) == {64, 128, 256}
+        assert _engine_digests(result) == self.RESIZING
+        assert _economics_hex(result.economics) == self.RESIZING_ECONOMICS
+
+    def test_single_class_with_sparse_epochs(self):
+        sample = sample_traffic(
+            montage_traffic(2_000.0, n_regions=100, seed=4), cache=SimCache()
+        )
+        result = FluidServiceEngine(
+            16, epoch_seconds=600.0, cache=SimCache()
+        ).run(sample)
+        empty = result.trajectories["arrival_rate"] == 0
+        assert empty.sum() > empty.size // 2
+        assert _engine_digests(result) == self.SPARSE
+        assert _economics_hex(result.economics) == self.SPARSE_ECONOMICS
 
 
 class TestTrafficSampling:
@@ -447,6 +586,15 @@ class TestFluidEngine:
         )
         assert np.allclose(responses[hits], expected)
         assert (responses[~hits] > expected).all()
+
+    def test_miss_statistics_cover_misses_only(self, traffic_sample):
+        result = FluidServiceEngine(512).run(traffic_sample)
+        misses = result.response_times()[~traffic_sample.hit]
+        assert result.miss_mean_response_time() == float(misses.mean())
+        for q in (50.0, 95.0):
+            assert result.miss_percentile_response_time(q) == float(
+                np.percentile(misses, q)
+            )
 
     def test_response_column_read_only_and_cached(self, traffic_sample):
         result = FluidServiceEngine(512).run(traffic_sample)

@@ -54,9 +54,9 @@ def test_seed_draws_sequence():
     path — the regression test pinning the Monte Carlo draw stream."""
     for seed in (0, 7, 123):
         stream = _SeedDraws(seed, n0=64, chunk=64)
-        stream.extend()
+        stream.ensure(stream.n + 64)
         stream.ensure(1000)
-        stream.extend()
+        stream.ensure(stream.n + 64)
         ref = np.random.default_rng(seed).random(stream.n)
         assert stream.arr.shape == ref.shape
         assert np.array_equal(stream.arr, ref)
@@ -73,7 +73,7 @@ def test_seed_draws_flags_cached_and_invalidated():
     assert stream.flags(0.25) is f1
     ref = np.less(stream.arr, 0.25)
     assert np.array_equal(f1, ref)
-    stream.extend()
+    stream.ensure(stream.n + 64)
     f2 = stream.flags(0.25)
     assert f2 is not f1
     assert f2.shape[0] == stream.n

@@ -157,22 +157,16 @@ class TestAuditedSweeps:
         with pytest.raises(AuditError):
             executor.run([SimJob(montage1, 2)])
 
-    def test_audit_env_var(self, monkeypatch):
-        monkeypatch.delenv(executor_module.AUDIT_ENV, raising=False)
+    def test_resolve_audit_argument_wins_over_default(self):
         assert resolve_audit() is False
-        monkeypatch.setenv(executor_module.AUDIT_ENV, "1")
-        assert resolve_audit() is True
-        monkeypatch.setenv(executor_module.AUDIT_ENV, "0")
-        assert resolve_audit() is False
-        monkeypatch.setenv(executor_module.AUDIT_ENV, "false")
-        assert resolve_audit() is False
-        # Explicit argument always wins.
         assert resolve_audit(True) is True
-        monkeypatch.setenv(executor_module.AUDIT_ENV, "1")
-        assert resolve_audit(False) is False
+        previous = set_default_audit(True)
+        try:
+            assert resolve_audit(False) is False
+        finally:
+            set_default_audit(previous)
 
-    def test_set_default_audit_round_trip(self, montage1, monkeypatch):
-        monkeypatch.delenv(executor_module.AUDIT_ENV, raising=False)
+    def test_set_default_audit_round_trip(self, montage1):
         previous = set_default_audit(True)
         try:
             assert resolve_audit() is True
