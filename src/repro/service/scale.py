@@ -462,6 +462,10 @@ class FluidServiceResult(ResponseStats):
     economics: ScaleEconomics
     elapsed_seconds: float
     _response_times: np.ndarray = field(repr=False)
+    # ``(verdict, epoch, class)`` tables, verdict 0 = miss, 1 = hit:
+    # the response every such request takes, and how many there are.
+    _values: np.ndarray = field(repr=False)
+    _counts: np.ndarray = field(repr=False)
 
     @property
     def spec(self) -> TrafficSpec:
@@ -482,6 +486,10 @@ class FluidServiceResult(ResponseStats):
     def response_times(self) -> np.ndarray:
         return self._response_times
 
+    def percentile_response_time(self, q: float) -> float:
+        """q-th percentile response time (q in [0, 100])."""
+        return _pooled_percentile(self._values, self._counts, q)
+
     def miss_mean_response_time(self) -> float:
         """Mean response over cache misses only (the queue+service path)."""
         misses = self._response_times[~self.sample.hit]
@@ -489,8 +497,7 @@ class FluidServiceResult(ResponseStats):
 
     def miss_percentile_response_time(self, q: float) -> float:
         """q-th percentile response over cache misses only (q in [0, 100])."""
-        misses = self._response_times[~self.sample.hit]
-        return float(np.percentile(misses, q)) if misses.size else 0.0
+        return _pooled_percentile(self._values[0], self._counts[0], q)
 
     def pool_utilization(self) -> float:
         util = self.trajectories["utilization"]
@@ -565,14 +572,9 @@ class FluidServiceEngine:
         delta = self.epoch_seconds
         n_epochs = max(1, int(np.ceil(sample.horizon / delta)))
 
-        # Arrival times are sorted and rounded division is monotone, so
-        # ``epoch_idx`` is non-decreasing: epoch ``e``'s requests are the
-        # rows ``bounds[e]:bounds[e + 1]``.
         epoch_idx = np.minimum(
             (sample.times / delta).astype(np.int64), n_epochs - 1
         )
-        bounds = epoch_idx.searchsorted(np.arange(n_epochs + 1))
-        requests_per_epoch = np.diff(bounds).astype(float)
         # Every per-epoch, per-class count from one (verdict, epoch,
         # class) table; verdict-major, so both halves are contiguous.
         flat = sample.hit * n_epochs
@@ -585,6 +587,7 @@ class FluidServiceEngine:
         del flat
         miss_counts = counts[0].astype(float)
         hit_counts = counts[1]
+        requests_per_epoch = counts.sum(axis=(0, 2)).astype(float)
 
         # Global-mix fallbacks for empty epochs.
         weights = spec.weights
@@ -613,7 +616,7 @@ class FluidServiceEngine:
         }
         for e in range(n_epochs):
             if controller is not None:
-                c = max(1, int(controller(e, state)))
+                c = processor_count(controller(e, state))
             pool[e] = c
             makespan_c, busy_c = class_vectors(c)
             arrivals = miss_counts[e]
@@ -693,10 +696,17 @@ class FluidServiceEngine:
             ]
         )
         responses.setflags(write=False)
-
-        p95 = np.zeros(n_epochs)
-        for e in np.flatnonzero(requests_per_epoch):
-            p95[e] = np.percentile(responses[bounds[e]:bounds[e + 1]], 95.0)
+        # The same float expressions per (verdict, epoch, class): every
+        # response equals its cell's value, so each percentile follows
+        # from the values and ``counts`` alone.
+        values = np.empty((2, n_epochs, n_classes))
+        values[0] = wait[:, None] + make_by_size[size_of_epoch]
+        values[1] = mosaic_bytes / spec.bandwidth_bytes_per_sec
+        p95 = _count_percentile(
+            values.transpose(1, 0, 2).reshape(n_epochs, -1),
+            counts.transpose(1, 0, 2).reshape(n_epochs, -1),
+            95.0,
+        )
         trajectories = {
             "epoch_start": np.arange(n_epochs) * delta,
             "arrival_rate": requests_per_epoch / delta,
@@ -712,7 +722,8 @@ class FluidServiceEngine:
             "p95_response": p95,
         }
         economics = self._economics(
-            sample, summaries, responses, pool, delta,
+            sample, summaries, responses,
+            _pooled_percentile(values, counts, 95.0), pool, delta,
             miss_counts.sum(axis=0), hit_counts.sum(axis=0), utilization,
         )
         trajectories["cost_per_request"] = self._cost_trajectory(
@@ -728,6 +739,8 @@ class FluidServiceEngine:
             economics=economics,
             elapsed_seconds=elapsed,
             _response_times=responses,
+            _values=values,
+            _counts=counts,
         )
 
     # -------------------------------------------------------------- #
@@ -757,6 +770,7 @@ class FluidServiceEngine:
         sample: TrafficSample,
         summaries: tuple[ClassSummary, ...],
         responses: np.ndarray,
+        p95_response: float,
         pool: np.ndarray,
         delta: float,
         miss_by_class: np.ndarray,
@@ -792,10 +806,7 @@ class FluidServiceEngine:
             mean_response_time=(
                 float(responses.mean()) if responses.size else 0.0
             ),
-            p95_response_time=(
-                float(np.percentile(responses, 95.0))
-                if responses.size else 0.0
-            ),
+            p95_response_time=p95_response,
             pool_utilization=float(util.mean()) if util.size else 0.0,
         )
 
@@ -832,6 +843,62 @@ class FluidServiceEngine:
             + hit_counts @ serve_unit
         )
         return _per_request(epoch_cost, requests_per_epoch)
+
+
+def _count_percentile(
+    values: np.ndarray, counts: np.ndarray, q: float
+) -> np.ndarray:
+    """Row-wise ``np.percentile(np.repeat(values[r], counts[r]), q)``,
+    bit for bit, from the counts alone; 0.0 for a row without counts.
+
+    Performs numpy's default (``"linear"``) method step by step: the
+    virtual index ``v = (n - 1) * (q / 100)``; the neighbour ranks
+    ``floor(v)`` and ``floor(v) + 1``, both the last rank once
+    ``v >= n - 1``, where numpy's ``-1`` marker makes ``gamma = v + 1``
+    (else ``v - floor(v)``); and ``_lerp``: ``a + (b - a) * gamma``, or
+    ``b - (b - a) * (1 - gamma)`` when ``gamma >= 0.5``.  The value at
+    a rank is read off the cumulative counts of the sorted values, so
+    no row is ever expanded.  ``values`` must hold no NaN.
+    """
+    fraction = float(q) / 100
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError("Percentiles must be in the range [0, 100]")
+    out = np.zeros(len(values))
+    order = np.argsort(values, axis=1)
+    ranked = np.take_along_axis(values, order, axis=1)
+    cum = np.take_along_axis(counts, order, axis=1).cumsum(axis=1)
+    rows = np.flatnonzero(cum[:, -1])
+    ranked, cum = ranked[rows], cum[rows]
+    last = cum[:, -1] - 1
+    v = last.astype(float) * fraction
+    lo = np.floor(v)
+    above = v >= last
+    prev = np.where(above, last, lo.astype(np.int64))
+    gamma = v - np.where(above, -1.0, lo)
+
+    def at(rank: np.ndarray) -> np.ndarray:
+        # The value at a rank sits in the first cell whose count reaches
+        # past it.
+        cell = (cum <= rank[:, None]).sum(axis=1)
+        return ranked[np.arange(len(rank)), cell]
+
+    a = at(prev)
+    b = at(np.where(above, last, prev + 1))
+    diff = b - a
+    result = a + diff * gamma
+    upper = gamma >= 0.5
+    result[upper] = (b - diff * (1 - gamma))[upper]
+    out[rows] = result
+    return out
+
+
+def _pooled_percentile(
+    values: np.ndarray, counts: np.ndarray, q: float
+) -> float:
+    """:func:`_count_percentile` over all cells as one row."""
+    return float(_count_percentile(
+        values.reshape(1, -1), counts.reshape(1, -1), q
+    )[0])
 
 
 def _per_request(totals: np.ndarray, requests: np.ndarray) -> np.ndarray:

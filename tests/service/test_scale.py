@@ -11,6 +11,8 @@ engine is assembled from, each against an independent oracle:
   digest of one sampled stream;
 * golden digests of two engine runs (response column, every
   trajectory, every economics field);
+* the count-table percentile vs ``np.percentile`` on expanded rows,
+  bit for bit;
 * engine invariants (zero traffic, overload backlog, pool
   monotonicity, hit-rate effects) and the economics identities;
 * capacity planning and autoscaling at scale.
@@ -34,6 +36,7 @@ from repro.service.scale import (
     FluidServiceEngine,
     MixComponent,
     TrafficSpec,
+    _count_percentile,
     _resolve_ttl_cache,
     _zipf_regions,
     montage_traffic,
@@ -470,6 +473,120 @@ class TestGoldenEngine:
         assert _engine_digests(result) == self.SPARSE
         assert _economics_hex(result.economics) == self.SPARSE_ECONOMICS
 
+    def test_percentile_queries_match_np_percentile(self):
+        sample = sample_traffic(_golden_spec(), cache=SimCache())
+
+        def controller(epoch, state):
+            if state["utilization"] > 0.6:
+                return 256
+            return 64 if epoch % 5 == 0 else 128
+
+        result = FluidServiceEngine(128, cache=SimCache()).run(
+            sample, controller=controller
+        )
+        responses = result.response_times()
+        misses = responses[~sample.hit]
+        for q in TestCountPercentile.QS:
+            assert result.percentile_response_time(q).hex() == float(
+                np.percentile(responses, q)
+            ).hex()
+            assert result.miss_percentile_response_time(q).hex() == float(
+                np.percentile(misses, q)
+            ).hex()
+
+
+class TestCountPercentile:
+    """``_count_percentile`` against ``np.percentile`` over each row
+    expanded by its counts, compared by ``float.hex`` so that a change
+    in the installed numpy's linear-method arithmetic shows."""
+
+    QS = (0, 37.5, 50, 95, 99.9, 100)
+
+    def _check(self, values, counts, qs=QS):
+        values = np.asarray(values, dtype=float)
+        counts = np.asarray(counts, dtype=np.int64)
+        with np.errstate(invalid="ignore"):  # inf - inf, as numpy does
+            for q in qs:
+                got = _count_percentile(values, counts, q)
+                want = [
+                    float(np.percentile(np.repeat(v, c), q))
+                    if c.sum() else 0.0
+                    for v, c in zip(values, counts)
+                ]
+                assert [x.hex() for x in got.tolist()] == [
+                    w.hex() for w in want
+                ], q
+
+    @pytest.mark.parametrize(
+        "n, q, gamma",
+        [
+            (1, 50.0, "n = 1"),
+            (21, 50.0, "0"),
+            (20, 95.0, "< 0.5"),
+            (502, 99.9, "just < 0.5"),
+            (11, 95.0, ">= 0.5"),
+            (3, 37.5, ">= 0.5"),
+            (5, 100.0, "v = n - 1"),
+        ],
+    )
+    def test_neighbour_ranks_and_gamma(self, n, q, gamma):
+        v = (n - 1) * (q / 100)
+        frac = v - np.floor(v)
+        assert {
+            "n = 1": n == 1,
+            "0": frac == 0.0 and v < n - 1,
+            "< 0.5": 0.0 < frac < 0.5,
+            "just < 0.5": 0.49 < frac < 0.5,
+            ">= 0.5": frac >= 0.5,
+            "v = n - 1": v == n - 1 and n > 1,
+        }[gamma]
+        # Three cells holding n requests, two of them sharing a value
+        # (a hit equal to a miss).
+        split = [n // 2, n - n // 2 - n // 3, n // 3]
+        self._check([[4.0, 1.5, 4.0]], [split], qs=(q,))
+
+    def test_edge_rows(self):
+        self._check(
+            [
+                [7.25, 7.25, 7.25, 7.25],      # all values equal
+                [2.0, 1.0, 2.0, 3.0],          # a hit equal to a miss
+                [5.0, 1.0, 9.0, 2.0],          # no requests: 0.0
+                [np.inf, 1.0, 3.0, np.inf],    # +inf responses
+                [3.0, np.inf, 0.5, 2.0],       # one request
+                # Signed zeros show gamma at the last rank (v + 1).
+                [-0.0, 1.0, 2.0, 3.0],
+                [-0.0, 1.0, 2.0, 3.0],
+            ],
+            [
+                [3, 1, 4, 2],
+                [5, 0, 7, 1],
+                [0, 0, 0, 0],
+                [2, 3, 1, 0],
+                [1, 0, 0, 0],
+                [1, 0, 0, 0],
+                [4, 0, 0, 0],
+            ],
+        )
+
+    def test_random_multisets(self):
+        rng = np.random.default_rng(31)
+        pool = np.array([0.0, 0.1, 0.3, 1.0, 1.0 + 2**-52, 86.5, 1e9, np.inf])
+        for _ in range(40):
+            cells = int(rng.integers(1, 9))
+            values = rng.choice(pool, size=(6, cells))
+            counts = rng.integers(0, 4, size=(6, cells)) * rng.choice(
+                [1, 1, 50], size=(6, 1)
+            )
+            self._check(values, counts)
+
+    @pytest.mark.parametrize("q", [-1.0, 100.5, float("nan")])
+    def test_out_of_range_q_raises_numpys_error(self, q):
+        message = "Percentiles must be in the range"
+        with pytest.raises(ValueError, match=message):
+            np.percentile([1.0], q)
+        with pytest.raises(ValueError, match=message):
+            _count_percentile(np.ones((1, 2)), np.ones((1, 2), int), q)
+
 
 class TestTrafficSampling:
     def test_deterministic_per_seed(self):
@@ -684,6 +801,15 @@ class TestFluidEngine:
         )
         pools = np.unique(result.trajectories["pool"])
         assert set(pools.tolist()) == {256, 512}
+
+    @pytest.mark.parametrize("bad", [0, -1, 2.5, float("nan"), True])
+    def test_controller_must_return_a_processor_count(
+        self, traffic_sample, bad
+    ):
+        with pytest.raises(ValueError, match="processor"):
+            FluidServiceEngine(8).run(
+                traffic_sample, controller=lambda e, state: bad
+            )
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
