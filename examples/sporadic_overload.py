@@ -12,7 +12,6 @@ Run:  python examples/sporadic_overload.py
 """
 
 from repro.core import pareto_frontier
-from repro.core.tradeoff import SweepPoint
 from repro.montage import montage_4_degree
 from repro.provisioning import (
     candidate_plans,
@@ -39,9 +38,7 @@ def main() -> None:
             f"{cand.result.utilization:>10.0%}"
         )
 
-    frontier = pareto_frontier(
-        [SweepPoint(c.n_processors, c.result, c.cost) for c in candidates]
-    )
+    frontier = pareto_frontier(candidates)
     print("\nPareto-efficient pool sizes: "
           + ", ".join(str(p.n_processors) for p in frontier))
 

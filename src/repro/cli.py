@@ -475,8 +475,8 @@ def _cmd_plot(args: argparse.Namespace) -> int:
 
     wf = _load_workflow(args)
     if args.figure == "q1":
-        processors = [1, 2, 4, 8, 16, 32, 64, 128]
-        q1 = run_question1(wf, processors=processors)
+        q1 = run_question1(wf)
+        processors = [r.n_processors for r in q1.rows]
         print(
             ascii_chart(
                 processors,

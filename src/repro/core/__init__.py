@@ -41,6 +41,7 @@ from repro.core.economics import (
 )
 from repro.core.tradeoff import (
     SweepPoint,
+    capped_ladder,
     pareto_frontier,
     processor_sweep,
 )
@@ -69,6 +70,7 @@ __all__ = [
     "full_sky_cost",
     "store_vs_recompute_months",
     "SweepPoint",
+    "capped_ladder",
     "pareto_frontier",
     "processor_sweep",
 ]

@@ -2,40 +2,48 @@
 
 The paper's Figures 4-6 sweep the provisioned processor count from 1 to
 128 "in a geometric progression" and plot every cost component plus the
-makespan.  :func:`processor_sweep` produces those series;
-:func:`pareto_frontier` extracts the provisioning choices a rational user
-would actually pick (no other point is both cheaper and faster) — the
-paper's 16-processor example for the 4° workflow is such a compromise
-point.
+makespan.  :func:`processor_sweep` produces those series, and every
+provisioning ladder; :func:`pareto_frontier` extracts the provisioning
+choices a rational user would actually pick (no other point is both
+cheaper and faster) — the paper's 16-processor example for the 4°
+workflow is such a compromise point.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.core.costs import CostBreakdown, compute_cost
 from repro.core.plans import ExecutionPlan, VMOverhead, NO_OVERHEAD
 from repro.core.pricing import AWS_2008, PricingModel
 from repro.sim.datamanager import DataMode
-from repro.sim.executor import DEFAULT_BANDWIDTH, simulate
+from repro.sim.executor import DEFAULT_BANDWIDTH
+from repro.sim.resources import check_count
 from repro.sim.results import SimulationResult
+from repro.workflow.analysis import max_parallelism
 from repro.workflow.dag import Workflow
 
 __all__ = [
     "SweepPoint",
     "processor_sweep",
     "geometric_processors",
+    "capped_ladder",
     "pareto_frontier",
 ]
 
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One provisioning choice: P processors, its metrics and its price."""
+    """One provisioning choice: its plan, simulated metrics and price."""
 
-    n_processors: int
+    plan: ExecutionPlan
     result: SimulationResult
     cost: CostBreakdown
+
+    @property
+    def n_processors(self) -> int:
+        return self.plan.n_processors
 
     @property
     def makespan(self) -> float:
@@ -48,8 +56,7 @@ class SweepPoint:
 
 def geometric_processors(max_processors: int = 128) -> list[int]:
     """The paper's processor counts: 1, 2, 4, ... up to the maximum."""
-    if max_processors < 1:
-        raise ValueError(f"max_processors must be >= 1, got {max_processors}")
+    check_count("max_processors", max_processors)
     out = []
     p = 1
     while p <= max_processors:
@@ -58,31 +65,52 @@ def geometric_processors(max_processors: int = 128) -> list[int]:
     return out
 
 
+def capped_ladder(
+    workflow: Workflow, processors: Sequence[int] | None = None
+) -> list[int]:
+    """The ladder (default :func:`geometric_processors`), sorted and
+    deduplicated, up to ``workflow``'s maximum parallelism plus its first
+    value at or above it, which already gives the full-parallelism
+    makespan: more processors only add idle-processor cost."""
+    ladder = sorted(set(geometric_processors() if processors is None
+                        else processors))
+    limit = max_parallelism(workflow)
+    kept = [p for p in ladder if p < limit]
+    return kept + ladder[len(kept):len(kept) + 1]
+
+
 def processor_sweep(
     workflow: Workflow,
-    processors: list[int] | None = None,
-    data_mode: DataMode | str = DataMode.REGULAR,
+    processors: Sequence[int] | None = None,
+    data_mode: DataMode | str | Sequence[DataMode | str] = DataMode.REGULAR,
     pricing: PricingModel = AWS_2008,
     bandwidth_bytes_per_sec: float = DEFAULT_BANDWIDTH,
     vm_overhead: VMOverhead = NO_OVERHEAD,
-    record_trace: bool = False,
 ) -> list[SweepPoint]:
     """Simulate and price a workflow across provisioned pool sizes.
 
-    This is the computation behind Figures 4, 5 and 6.
+    This is the computation behind Figures 4, 5 and 6.  ``data_mode`` may
+    be a sequence of modes, swept one after the other over the ladder.
+    All points are one memoized, batched :func:`repro.sweep.run_jobs` call.
     """
-    pts = []
-    for p in processors if processors is not None else geometric_processors():
-        result = simulate(
-            workflow,
-            n_processors=p,
-            data_mode=data_mode,
-            bandwidth_bytes_per_sec=bandwidth_bytes_per_sec,
-            record_trace=record_trace,
-        )
-        plan = ExecutionPlan.provisioned(p, data_mode, vm_overhead)
-        pts.append(SweepPoint(p, result, compute_cost(result, pricing, plan)))
-    return pts
+    # Imported here: repro.sweep imports repro.core (via repro.audit).
+    from repro.sweep import SimJob, run_jobs
+
+    modes = [data_mode] if isinstance(data_mode, (str, DataMode)) else data_mode
+    plans = [
+        ExecutionPlan.provisioned(p, mode, vm_overhead)
+        for mode in modes
+        for p in (geometric_processors() if processors is None else processors)
+    ]
+    results = run_jobs([
+        SimJob(workflow, plan.n_processors, plan.data_mode,
+               bandwidth_bytes_per_sec=bandwidth_bytes_per_sec)
+        for plan in plans
+    ])
+    return [
+        SweepPoint(plan, result, compute_cost(result, pricing, plan))
+        for plan, result in zip(plans, results)
+    ]
 
 
 def pareto_frontier(points: list[SweepPoint]) -> list[SweepPoint]:

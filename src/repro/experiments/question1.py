@@ -14,14 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.costs import CostBreakdown, compute_cost
-from repro.core.plans import ExecutionPlan
 from repro.core.pricing import AWS_2008, PricingModel
-from repro.core.tradeoff import geometric_processors
+from repro.core.tradeoff import processor_sweep
 from repro.montage.generator import montage_workflow
 from repro.sim.executor import DEFAULT_BANDWIDTH
-from repro.sweep import SimJob, run_jobs
-from repro.util.units import HOUR, format_duration, format_money
+from repro.util.units import format_duration, format_money
 from repro.workflow.dag import Workflow
 from repro.experiments.report import format_table
 
@@ -109,39 +106,28 @@ def run_question1(
     """
     if not isinstance(workflow, Workflow):
         workflow = montage_workflow(float(workflow))
-    if processors is None:
-        processors = geometric_processors(128)
     # One sweep batch for the whole ladder, both storage series; the
-    # cleanup run is only consumed for its storage byte-seconds, and both
-    # modes go through the memo cache so repeated P values across
+    # cleanup run is only consumed for its storage cost, and both modes go
+    # through the memo cache so repeated P values across
     # figures/verification are simulated exactly once.
-    jobs = [
-        SimJob(
-            workflow,
-            p,
-            mode,
-            bandwidth_bytes_per_sec=bandwidth_bytes_per_sec,
+    points = processor_sweep(
+        workflow,
+        processors,
+        ("regular", "cleanup"),
+        pricing,
+        bandwidth_bytes_per_sec,
+    )
+    half = len(points) // 2
+    rows = [
+        Question1Row(
+            n_processors=regular.n_processors,
+            makespan=regular.makespan,
+            cpu_cost=regular.cost.cpu_cost,
+            storage_cost=regular.cost.storage_cost,
+            storage_cost_cleanup=cleanup.cost.storage_cost,
+            transfer_cost=regular.cost.transfer_cost,
+            total_cost=regular.total_cost,
         )
-        for p in processors
-        for mode in ("regular", "cleanup")
+        for regular, cleanup in zip(points[:half], points[half:])
     ]
-    results = run_jobs(jobs)
-    rows = []
-    for i, p in enumerate(processors):
-        regular = results[2 * i]
-        cleanup = results[2 * i + 1]
-        plan = ExecutionPlan.provisioned(p, "regular")
-        cost: CostBreakdown = compute_cost(regular, pricing, plan)
-        storage_cleanup = pricing.storage_cost(cleanup.storage_byte_seconds)
-        rows.append(
-            Question1Row(
-                n_processors=p,
-                makespan=regular.makespan,
-                cpu_cost=cost.cpu_cost,
-                storage_cost=cost.storage_cost,
-                storage_cost_cleanup=storage_cleanup,
-                transfer_cost=cost.transfer_cost,
-                total_cost=cost.total,
-            )
-        )
     return Question1Result(workflow_name=workflow.name, rows=rows)

@@ -7,10 +7,11 @@ needs."  The advisor explores that whole space for one workflow —
 (provider x data-management mode x pool size) — and recommends the
 cheapest plan that meets a deadline (or the fastest within a budget).
 
-Each (mode, pool size) combination is simulated once; the resulting
-metrics are priced under every provider (simulation results are
-fee-independent), so the search costs |modes| x |pool sizes| simulations
-regardless of how many providers are compared.
+All (mode, pool size) combinations are one
+:func:`repro.core.tradeoff.processor_sweep` over the workflow's capped
+ladder; each result is priced under every provider (simulation results
+are fee-independent), so the search costs |modes| x |pool sizes|
+simulations regardless of how many providers are compared.
 """
 
 from __future__ import annotations
@@ -20,10 +21,9 @@ from dataclasses import dataclass
 from repro.core.costs import CostBreakdown, compute_cost
 from repro.core.plans import ExecutionPlan
 from repro.core.pricing import AWS_2008, PricingModel
-from repro.core.tradeoff import geometric_processors
-from repro.sim.executor import DEFAULT_BANDWIDTH, simulate
-from repro.sim.resources import check_finite
-from repro.workflow.analysis import max_parallelism
+from repro.core.tradeoff import capped_ladder, processor_sweep
+from repro.provisioning.optimizer import best_feasible
+from repro.sim.executor import DEFAULT_BANDWIDTH
 from repro.workflow.dag import Workflow
 
 __all__ = ["PlanOption", "Recommendation", "advise_plan"]
@@ -78,7 +78,9 @@ def advise_plan(
 ) -> Recommendation:
     """Explore (provider x mode x pool) and recommend a provisioned plan.
 
-    With a deadline: cheapest feasible option.  With a budget: fastest
+    The pools are :func:`repro.core.tradeoff.capped_ladder` of
+    ``processors`` (default: the geometric ladder 1..128).  With a
+    deadline: cheapest feasible option.  With a budget: fastest
     affordable option.  With both: cheapest option satisfying both.  With
     neither: the overall cheapest.  ``chosen`` is None when no option
     satisfies the constraints.
@@ -87,55 +89,29 @@ def advise_plan(
         providers = {AWS_2008.name: AWS_2008}
     if not providers:
         raise ValueError("need at least one provider")
-    if deadline_seconds is not None:
-        check_finite("deadline_seconds", deadline_seconds, positive=True)
-    if budget_dollars is not None:
-        check_finite("budget_dollars", budget_dollars, positive=True)
-    if processors is None:
-        limit = max(1, max_parallelism(workflow))
-        ladder = [p for p in geometric_processors(128) if p <= limit]
-        if not ladder or ladder[-1] < limit:
-            ladder.append(min(limit, 128) if limit <= 128 else 128)
-        processors = sorted(set(ladder))
-
-    options: list[PlanOption] = []
-    for mode in modes:
-        for p in processors:
-            result = simulate(
-                workflow,
-                p,
-                mode,
-                bandwidth_bytes_per_sec=bandwidth_bytes_per_sec,
-                record_trace=False,
-            )
-            plan = ExecutionPlan.provisioned(p, mode)
-            for name, pricing in providers.items():
-                options.append(
-                    PlanOption(
-                        provider=name,
-                        plan=plan,
-                        makespan=result.makespan,
-                        cost=compute_cost(result, pricing, plan),
-                    )
-                )
-
-    feasible = [
-        o
-        for o in options
-        if (deadline_seconds is None or o.makespan <= deadline_seconds)
-        and (budget_dollars is None or o.total_cost <= budget_dollars)
-    ]
-    if not feasible:
-        return Recommendation(
-            chosen=None,
-            criterion="no option satisfies the constraints",
-            options=options,
+    points = processor_sweep(
+        workflow,
+        capped_ladder(workflow, processors),
+        modes,
+        bandwidth_bytes_per_sec=bandwidth_bytes_per_sec,
+    )
+    # Simulation results are fee-independent: reprice each per provider.
+    options = [
+        PlanOption(
+            provider=name,
+            plan=pt.plan,
+            makespan=pt.makespan,
+            cost=compute_cost(pt.result, pricing, pt.plan),
         )
-    if deadline_seconds is None and budget_dollars is not None:
-        chosen = min(feasible, key=lambda o: (o.makespan, o.total_cost))
+        for pt in points
+        for name, pricing in providers.items()
+    ]
+    chosen = best_feasible(options, deadline_seconds, budget_dollars)
+    if chosen is None:
+        criterion = "no option satisfies the constraints"
+    elif deadline_seconds is None and budget_dollars is not None:
         criterion = f"fastest within ${budget_dollars:g}"
     else:
-        chosen = min(feasible, key=lambda o: (o.total_cost, o.makespan))
         criterion = (
             "cheapest overall"
             if deadline_seconds is None

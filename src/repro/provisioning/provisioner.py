@@ -1,49 +1,23 @@
 """Enumerating provisioning candidates for a workflow.
 
 A candidate is a provisioned pool size together with its simulated
-makespan and priced cost — a :class:`repro.core.tradeoff.SweepPoint` plus
-the plan that produced it.  Candidates default to the paper's geometric
-ladder 1..128, optionally capped at the workflow's maximum useful
-parallelism (provisioning more processors than the workflow can ever use
-only adds idle-processor cost).
+makespan and priced cost, a :class:`repro.core.tradeoff.SweepPoint`.
+Candidates come from the paper's geometric ladder 1..128 (or the
+caller's), cut by :func:`repro.core.tradeoff.capped_ladder` at the
+workflow's maximum useful parallelism: provisioning more processors than
+the workflow can ever use only adds idle-processor cost.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.core.costs import CostBreakdown
-from repro.core.plans import ExecutionPlan, VMOverhead, NO_OVERHEAD
+from repro.core.plans import VMOverhead, NO_OVERHEAD
 from repro.core.pricing import AWS_2008, PricingModel
-from repro.core.tradeoff import geometric_processors, processor_sweep
+from repro.core.tradeoff import SweepPoint, capped_ladder, processor_sweep
 from repro.sim.datamanager import DataMode
 from repro.sim.executor import DEFAULT_BANDWIDTH
-from repro.sim.results import SimulationResult
-from repro.workflow.analysis import max_parallelism
 from repro.workflow.dag import Workflow
 
-__all__ = ["ProvisioningCandidate", "candidate_plans"]
-
-
-@dataclass(frozen=True)
-class ProvisioningCandidate:
-    """One provisioning option with its simulated outcome and price."""
-
-    plan: ExecutionPlan
-    result: SimulationResult
-    cost: CostBreakdown
-
-    @property
-    def n_processors(self) -> int:
-        return self.plan.n_processors
-
-    @property
-    def makespan(self) -> float:
-        return self.result.makespan
-
-    @property
-    def total_cost(self) -> float:
-        return self.cost.total
+__all__ = ["candidate_plans"]
 
 
 def candidate_plans(
@@ -53,41 +27,19 @@ def candidate_plans(
     pricing: PricingModel = AWS_2008,
     bandwidth_bytes_per_sec: float = DEFAULT_BANDWIDTH,
     vm_overhead: VMOverhead = NO_OVERHEAD,
-    cap_at_max_parallelism: bool = True,
-) -> list[ProvisioningCandidate]:
-    """Simulate and price a ladder of provisioned pool sizes.
+) -> list[SweepPoint]:
+    """Simulate and price the workflow's capped ladder of pool sizes.
 
-    With ``cap_at_max_parallelism`` (default), pool sizes strictly beyond
-    the workflow's maximum parallelism are dropped except the first one at
-    or above it (which realizes the full-parallelism makespan).
+    The ladder keeps its pool sizes below the workflow's maximum
+    parallelism plus the first one at or above it (which realizes the
+    full-parallelism makespan); an uncapped ladder is
+    :func:`repro.core.tradeoff.processor_sweep`.
     """
-    if processors is None:
-        processors = geometric_processors()
-    processors = sorted(set(processors))
-    if cap_at_max_parallelism and workflow.tasks:
-        limit = max_parallelism(workflow)
-        kept = [p for p in processors if p <= limit]
-        beyond = [p for p in processors if p > limit]
-        if beyond and (not kept or kept[-1] < limit):
-            kept.append(beyond[0])
-        processors = kept
-    points = processor_sweep(
+    return processor_sweep(
         workflow,
-        processors,
-        data_mode=data_mode,
-        pricing=pricing,
-        bandwidth_bytes_per_sec=bandwidth_bytes_per_sec,
-        vm_overhead=vm_overhead,
+        capped_ladder(workflow, processors),
+        data_mode,
+        pricing,
+        bandwidth_bytes_per_sec,
+        vm_overhead,
     )
-    if isinstance(data_mode, str):
-        data_mode = DataMode(data_mode)
-    return [
-        ProvisioningCandidate(
-            plan=ExecutionPlan.provisioned(
-                pt.n_processors, data_mode, vm_overhead
-            ),
-            result=pt.result,
-            cost=pt.cost,
-        )
-        for pt in points
-    ]

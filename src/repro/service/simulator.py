@@ -54,7 +54,8 @@ class ResponseStats:
     def percentile_response_time(self, q: float) -> float:
         """q-th percentile response time (q in [0, 100])."""
         times = self.response_times()
-        return float(np.percentile(times, q)) if times.size else 0.0
+        # 0.0 without outcomes, but numpy still checks ``q``.
+        return float(np.percentile(times if times.size else [0.0], q))
 
 
 @dataclass(frozen=True)

@@ -81,8 +81,9 @@ class TestAdvisor:
     def test_default_ladder_capped_by_parallelism(self, montage1):
         rec = advise_plan(montage1, modes=("cleanup",))
         pools = sorted({o.n_processors for o in rec.options})
-        assert pools[0] == 1
-        assert pools[-1] <= 118  # montage-1deg max parallelism
+        # montage-1deg max parallelism is 118: the ladder keeps 1..64 and
+        # its first value at or above 118, and prices no size outside it.
+        assert pools == [1, 2, 4, 8, 16, 32, 64, 128]
 
     def test_validation(self, montage1):
         with pytest.raises(ValueError):

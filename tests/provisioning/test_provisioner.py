@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.tradeoff import processor_sweep
 from repro.provisioning.provisioner import candidate_plans
 from repro.workflow.analysis import max_parallelism
 from repro.workflow.generators import chain_workflow, fork_join_workflow
@@ -20,9 +21,7 @@ class TestCandidates:
 
     def test_uncapped_keeps_ladder(self):
         wf = fork_join_workflow(6, runtime=50.0)
-        cands = candidate_plans(
-            wf, processors=[1, 4, 16, 64], cap_at_max_parallelism=False
-        )
+        cands = processor_sweep(wf, processors=[1, 4, 16, 64])
         assert [c.n_processors for c in cands] == [1, 4, 16, 64]
 
     def test_candidates_carry_plan_and_cost(self):

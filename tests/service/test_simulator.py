@@ -104,6 +104,16 @@ class TestAggregates:
         assert res.n_requests == 0
         assert res.horizon == 0.0
         assert res.mean_response_time() == 0.0
+        assert res.percentile_response_time(95.0) == 0.0
+
+    @pytest.mark.parametrize("q", [150.0, float("nan")])
+    def test_empty_stream_rejects_out_of_range_q(self, q):
+        """As on the fluid engine's result: numpy's own range error."""
+        res = ServiceSimulator(4, "cleanup").run([])
+        with pytest.raises(
+            ValueError, match=r"Percentiles must be in the range \[0, 100\]"
+        ):
+            res.percentile_response_time(q)
 
     def test_more_processors_never_hurt_p95(self, montage1):
         reqs = request_stream(uniform_arrivals(4, 60.0), [montage1])

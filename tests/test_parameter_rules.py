@@ -32,7 +32,15 @@ from repro.grid.plan import GridPlan
 from repro.montage.campaign import plan_whole_sky_campaign
 from repro.montage.generator import montage_workflow
 from repro.montage.sky import region
-from repro.provisioning import advise_plan, simulate_bursting
+from repro.core.tradeoff import geometric_processors
+from repro.provisioning import (
+    advise_plan,
+    best_weighted,
+    candidate_plans,
+    cheapest_within_deadline,
+    fastest_within_budget,
+    simulate_bursting,
+)
 from repro.service.arrivals import (
     ServiceRequest,
     poisson_arrival_array,
@@ -130,6 +138,10 @@ M17 = region("M17")
 
 def small_sample():
     return sample_traffic(montage_traffic(1_000.0, n_regions=10))
+
+
+def candidates():
+    return candidate_plans(ONE_DEGREE, processors=[4])
 
 
 REJECTED = {
@@ -286,6 +298,26 @@ REJECTED = {
         lambda: simulate_bursting(REQUESTS, 4, objective_seconds=NAN),
         "objective_seconds must be finite and > 0, got nan",
     ),
+    # The optimizer's own "> 0" checks let NaN through as "infeasible".
+    "optimizer-deadline-nan": (
+        lambda: cheapest_within_deadline(candidates(), NAN),
+        "deadline_seconds must be finite and > 0, got nan",
+    ),
+    "optimizer-budget-nan": (
+        lambda: fastest_within_budget(candidates(), NAN),
+        "budget_dollars must be finite and > 0, got nan",
+    ),
+    "optimizer-weight-nan": (
+        lambda: best_weighted(candidates(), cost_weight=NAN),
+        "cost_weight must be finite and >= 0, got nan",
+    ),
+    # A fractional, bool or NaN cap once gave a short or empty ladder.
+    "geometric-max-2.5": (lambda: geometric_processors(2.5),
+                          "max_processors must be an integer >= 1, got 2.5"),
+    "geometric-max-True": (lambda: geometric_processors(True),
+                           "max_processors must be an integer >= 1, got True"),
+    "geometric-max-nan": (lambda: geometric_processors(NAN),
+                          "max_processors must be an integer >= 1, got nan"),
 }
 
 
