@@ -102,7 +102,10 @@ class ProvenanceLog:
     With ``path=None`` the log lives in memory only (the policy study
     and the property suites use this); with a path, every appended line
     is flushed to disk immediately, and a pre-existing file is loaded as
-    the verified prefix a resumed campaign must re-derive.
+    the verified prefix a resumed campaign must re-derive.  A torn last
+    line (no final newline: the kill landed inside an append) is cut
+    off the file and re-derived; a bad line anywhere else still raises
+    :class:`ProvenanceMismatchError`.
     """
 
     def __init__(self, path: str | Path | None = None) -> None:
@@ -111,7 +114,15 @@ class ProvenanceLog:
         #: next position emit() will verify-or-append at
         self._cursor = 0
         if self._path is not None and self._path.exists():
-            text = self._path.read_text(encoding="utf-8")
+            data = self._path.read_bytes()
+            # A final line without its newline is an append a kill
+            # interrupted: drop it, and this run re-derives it.
+            complete = data.rfind(b"\n") + 1
+            if complete < len(data):
+                with open(self._path, "r+b") as fh:
+                    fh.truncate(complete)
+                    os.fsync(fh.fileno())
+            text = data[:complete].decode("utf-8")
             self._lines = [ln for ln in text.splitlines() if ln]
         #: length of the pre-existing prefix this run must re-derive
         self._prefix = len(self._lines)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 from typing import TYPE_CHECKING
 
+from repro.sim.resources import size_units
 from repro.workflow.cleanup import cleanup_plan, releasers_index
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -86,13 +87,14 @@ class DataManager:
         ex = self.ex
         if ex.storage.capacity_bytes is None:
             return True
-        return ex.storage.reserve(self._reservation_bytes(task_id))
+        return ex.storage.reserve(self._reservation_units(task_id))
 
-    def _reservation_bytes(self, task_id: str) -> float:
-        """Bytes to reserve at dispatch; subclasses refine."""
+    def _reservation_units(self, task_id: str) -> int:
+        """Storage units to reserve at dispatch; subclasses refine."""
         wf = self.ex.workflow
-        task = wf.task(task_id)
-        return sum(wf.file(f).size_bytes for f in task.outputs)
+        return sum(
+            size_units(wf.file(f).size_bytes) for f in wf.task(task_id).outputs
+        )
 
     def _materialize(self, key, size: float, reserved: bool) -> None:
         """Add an object; convert its reservation if one was held.
@@ -102,7 +104,7 @@ class DataManager:
         """
         self.ex.storage.add(key, size, self.ex.engine.now)
         if reserved:
-            self.ex.storage.release_reservation(size)
+            self.ex.storage.release_reservation(size_units(size))
 
     def prepare_task(self, task_id: str, begin) -> None:
         """Called at dispatch time, once a processor is held for the task.
@@ -170,7 +172,7 @@ class _SharedStorageManager(DataManager):
         #: reserve its outputs (the largest single-task output set) —
         #: without it, greedy staging fills the store with inputs and
         #: deadlocks dispatch.
-        self._headroom = 0.0
+        self._headroom = 0
         self._stage_outs_left = 0
 
     def on_start(self) -> None:
@@ -185,11 +187,7 @@ class _SharedStorageManager(DataManager):
         self._stage_in_queue = list(wf.input_files())
         if self._gated:
             self._headroom = max(
-                (
-                    sum(wf.file(f).size_bytes for f in task.outputs)
-                    for task in wf.tasks.values()
-                ),
-                default=0.0,
+                map(self._reservation_units, wf.tasks), default=0
             )
             self.ex.storage.subscribe_space_freed(self._pump_stage_ins)
         self._pump_stage_ins()
@@ -205,12 +203,13 @@ class _SharedStorageManager(DataManager):
                 size = self.ex.workflow.file(fname).size_bytes
                 if self._gated:
                     storage = self.ex.storage
+                    units = size_units(size)
                     # Leave output headroom — except when the store is
                     # completely empty, where holding back cannot help.
-                    admissible = storage.fits(size + self._headroom) or (
-                        storage.committed_bytes == 0.0
+                    admissible = storage.fits(units + self._headroom) or (
+                        storage.committed_units == 0
                     )
-                    if not (admissible and storage.reserve(size)):
+                    if not (admissible and storage.reserve(units)):
                         break
                 self._stage_in_queue.pop(0)
                 self._stage_in(fname, size)
@@ -271,14 +270,9 @@ class _SharedStorageManager(DataManager):
         """Delete whatever is still on storage, then finish the run."""
         storage = self.ex.storage
         now = self.ex.engine.now
-        for key in list(storage_keys(storage)):
+        for key in list(storage._objects):  # noqa: SLF001 - same package
             storage.remove(key, now)
         self.ex.finish()
-
-
-def storage_keys(storage) -> list[object]:
-    """Current object keys on a storage resource (helper for finalize)."""
-    return list(storage._objects.keys())  # noqa: SLF001 - same package
 
 
 class RegularDataManager(_SharedStorageManager):
@@ -382,14 +376,15 @@ class RemoteIODataManager(DataManager):
         for fname in task.inputs:
             self._stage_in_copy(task_id, fname, begin)
 
-    def _reservation_bytes(self, task_id: str) -> float:
+    def _reservation_units(self, task_id: str) -> int:
         # A remote task needs room for its input copies and its outputs
         # before it can occupy a processor.  (Conservative when an input
         # is already resident for a concurrent task.)
         wf = self.ex.workflow
         task = wf.task(task_id)
         return sum(
-            wf.file(f).size_bytes for f in (*task.inputs, *task.outputs)
+            size_units(wf.file(f).size_bytes)
+            for f in (*task.inputs, *task.outputs)
         )
 
     def _retain(self, fname: str, reserved: bool = False) -> None:
@@ -398,7 +393,7 @@ class RemoteIODataManager(DataManager):
         if count == 0:
             self.ex.storage.add(fname, size, self.ex.engine.now)
         if reserved:
-            self.ex.storage.release_reservation(size)
+            self.ex.storage.release_reservation(size_units(size))
         self._refcount[fname] = count + 1
 
     def _release(self, fname: str) -> None:

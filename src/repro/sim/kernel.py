@@ -110,6 +110,7 @@ from repro.sim.failures import (
     WorkflowAbortedError,
     check_failure_parameters,
 )
+from repro.sim.resources import admission_limit, size_units
 from repro.sim.results import SimulationResult, TaskRecord, TransferRecord
 from repro.sim.scheduler import FIFO_ORDER, TaskOrdering
 from repro.util.curve import StepCurve
@@ -431,12 +432,6 @@ _SOUT = 3  # shared-storage stage-out completion      a = file index
 _COPY = 4  # remote-I/O input copy arrival            a = task, b = file
 _ROUT = 5  # remote-I/O per-task stage-out completion a = task, b = file
 
-# Whether ``sum`` over floats is a plain left fold, so that a running
-# total can reproduce it one ``+`` at a time.  CPython 3.12 switched
-# float ``sum`` to Neumaier compensated summation; there ``_run_single``
-# re-sums its store on every read, exactly as ``Storage.bytes_used`` does.
-_SUM_IS_LEFT_FOLD = sum([1.0, 1e100, 1.0, -1e100]) == 0.0
-
 
 @dataclass(frozen=True)
 class KernelConfig:
@@ -658,11 +653,10 @@ def _run_single(
 
     Traced runs, contended (FIFO) links, remote I/O and finite storage
     all replay here.  A finite ``storage_capacity_bytes`` (``limited``)
-    adds the engine's admission cascade: ``Storage``'s reservation
-    accounting (``fits`` compares ``(stored + reserved) + n`` against
-    ``capacity + 1e-6``, where stored is ``bytes_used``'s fold of the
-    object sizes in insertion order; while the store only grows that
-    left fold is kept as a running total, recomputed after a removal),
+    adds the engine's admission cascade: ``Storage``'s exact ledger
+    (stored and reserved totals as integer units of ``size_units``, one
+    unit list per run, so ``fits`` compares ``stored + reserved + n``
+    with ``admission_limit(capacity)`` exactly, on any interpreter),
     the head-of-line dispatch reservation (peek, reserve, break without
     popping on failure), the gated stage-in pump with its output-headroom
     admission rule, and the space-freed notification order — the
@@ -708,19 +702,16 @@ def _run_single(
     OUT = 1 if environment.separate_links else 0
 
     if limited:
-        # Same float folds as the engine's `sum(size for f in ...)` calls.
-        if remote:
-            res_bytes = [
-                sum(sizes[f] for f in task_inputs[t] + task_outputs[t])
-                for t in range(n_tasks)
-            ]
-            headroom = 0.0
-        else:
-            res_bytes = [
-                sum(sizes[f] for f in task_outputs[t]) for t in range(n_tasks)
-            ]
-            headroom = max(res_bytes, default=0.0)
-        cap_eps = environment.storage_capacity_bytes + 1e-6
+        # The engine's ledger: exact integer units (DataManager's
+        # _reservation_units and _headroom).
+        units = [size_units(size) for size in sizes]
+        res_files = (
+            [i + o for i, o in zip(task_inputs, task_outputs)] if remote
+            else task_outputs
+        )
+        res_units = [sum(units[f] for f in fs) for fs in res_files]
+        headroom = max(res_units, default=0)  # read by the pump only
+        limit = admission_limit(environment.storage_capacity_bytes)
 
     # ---------------------------------------------------------------- #
     # mutable run state
@@ -755,8 +746,8 @@ def _run_single(
     refcount = [0] * low.n_files  # remote: current holders per file
     done_flag = bytearray(n_tasks)
     store: dict[int, float] = {}  # storage objects, insertion-ordered
-    used = None  # running sum(store.values()); None until next stored()
-    reserved = 0.0
+    used = 0  # stored units (kept only when limited)
+    reserved = 0  # reserved units
     pumping = False
     sin_head = 0  # next stage-in of input_fidx the pump submits
     n_sin = len(input_fidx)
@@ -769,38 +760,26 @@ def _run_single(
     transfer_records: list[TransferRecord] = []
 
     # -- storage (exact ops of resources.Storage) ---------------------- #
-    def stored() -> float:
-        """``Storage.bytes_used``: ``sum(store.values())``, kept running."""
-        nonlocal used
-        if used is None:
-            total = sum(store.values())
-            if not _SUM_IS_LEFT_FOLD:
-                return total
-            used = total
-        return used
-
     def add_obj(f: int) -> None:
-        # A left fold in insertion order grows by exactly one ``+`` when
-        # a new key is appended; an overwrite keeps the key's old slot
-        # and breaks the fold, as does a removal (``remove_obj``).
         nonlocal used
-        if used is not None:
-            used = None if f in store else used + sizes[f]
         store[f] = sizes[f]
+        storage_deltas.append((now, sizes[f]))
+        if limited:
+            used += units[f]
 
-    def fits(n: float) -> bool:
-        return (stored() + reserved) + n <= cap_eps
+    def fits(n: int) -> bool:
+        return used + reserved + n <= limit
 
-    def reserve(n: float) -> bool:
+    def reserve(n: int) -> bool:
         nonlocal reserved
         if not fits(n):
             return False
         reserved += n
         return True
 
-    def release_reservation(n: float) -> None:
+    def release_reservation(n: int) -> None:
         nonlocal reserved
-        reserved = max(0.0, reserved - n)
+        reserved -= n
         space_freed()
 
     def space_freed() -> None:
@@ -814,15 +793,14 @@ def _run_single(
         # add first, release the reservation after (committed bytes
         # never transiently undercount)
         add_obj(f)
-        storage_deltas.append((now, sizes[f]))
         if limited:
-            release_reservation(sizes[f])
+            release_reservation(units[f])
 
     def remove_obj(f: int) -> None:
         nonlocal used
         storage_deltas.append((now, -store.pop(f)))
         if limited:
-            used = None
+            used -= units[f]
             space_freed()
 
     # -- link (exact ops of NetworkLink.request) ---------------------- #
@@ -886,7 +864,7 @@ def _run_single(
             # task's storage before popping; on failure it stays queued
             # for a space-freed retry.
             t = ready[ready_head] if fifo else ready[0][2]
-            if limited and not reserve(res_bytes[t]):
+            if limited and not reserve(res_units[t]):
                 break
             if fifo:
                 ready_head += 1
@@ -931,10 +909,10 @@ def _run_single(
                 if limited:
                     # Leave output headroom — except when the store is
                     # completely empty, where holding back cannot help.
-                    admissible = fits(size + headroom) or (
-                        (stored() + reserved) == 0.0
+                    admissible = fits(units[f] + headroom) or (
+                        used + reserved == 0
                     )
-                    if not (admissible and reserve(size)):
+                    if not (admissible and reserve(units[f])):
                         break
                 sin_head += 1
                 bytes_in += size
@@ -955,9 +933,8 @@ def _run_single(
         count = refcount[f]
         if not count:
             add_obj(f)
-            storage_deltas.append((now, sizes[f]))
         if limited:
-            release_reservation(sizes[f])
+            release_reservation(units[f])
         refcount[f] = count + 1
 
     def release_file(f: int) -> None:

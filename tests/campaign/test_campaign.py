@@ -318,6 +318,26 @@ class TestResume:
         assert resumed.n_abandoned == 3
         assert audit_campaign(log_path).ok
 
+    @pytest.mark.parametrize("cut", ["mid-line", "before-newline"])
+    def test_resume_after_torn_last_line(self, tmp_path, cut):
+        # A kill inside ProvenanceLog.emit's append leaves a last line
+        # without its newline; resume re-derives that line in full.
+        p = plates(2)
+        ref_path = tmp_path / "ref.jsonl"
+        run_campaign(p, "sweep", config(), cache=SimCache(),
+                     log=ProvenanceLog(ref_path))
+        ref = ref_path.read_bytes()
+        lines = ref.splitlines(keepends=True)
+        assert len(lines) > 3
+        torn = lines[2][: len(lines[2]) // 2 if cut == "mid-line" else -1]
+        log_path = tmp_path / "campaign.jsonl"
+        log_path.write_bytes(b"".join(lines[:2]) + torn)
+        resumed = run_campaign(p, "sweep", config(), cache=SimCache(),
+                               log=ProvenanceLog(log_path))
+        assert resumed.log.replayed == 2
+        assert log_path.read_bytes() == ref
+        assert audit_campaign(log_path).ok
+
     def test_divergent_resume_raises(self, tmp_path):
         p = plates(2)
         log_path = tmp_path / "campaign.jsonl"

@@ -26,6 +26,7 @@ from repro.sim import kernel
 from repro.sim.failures import FailureModel, WorkflowAbortedError
 from repro.workflow.generators import random_layered_workflow
 
+from tests.float_sums import compensated_sum
 from tests.strategies import DATA_MODES, failure_specs, workflows
 
 pytestmark = pytest.mark.property
@@ -147,6 +148,9 @@ def both_or_deadlock(wf, fail_seed=None, **kwargs):
     return out
 
 
+@pytest.mark.parametrize(
+    "float_sum", [sum, compensated_sum], ids=["builtin-sum", "sum-3.12"]
+)
 @settings(max_examples=150, deadline=None)
 @given(
     wf=workflows(),
@@ -162,6 +166,7 @@ def both_or_deadlock(wf, fail_seed=None, **kwargs):
     fail_seed=st.one_of(st.none(), st.integers(0, 2**16)),
 )
 def test_kernel_identical_with_finite_capacity(
+    float_sum,
     wf, p, mode, frac, cont, sep, trace, ordering, boot, overhead, fail_seed
 ):
     # Capacity as a fraction of the total byte footprint exercises both
@@ -170,45 +175,23 @@ def test_kernel_identical_with_finite_capacity(
     # byte-for-byte too.  Orderings, boot delay, overhead, split links
     # and failures are where the capacity cascade meets the code paths
     # it shares with infinite storage: the non-FIFO head-of-line peek,
-    # reservations made while booting, in-place retries.
-    total = sum(f.size_bytes for f in wf.files.values())
-    (a, a_err), (b, b_err) = both_or_deadlock(
-        wf,
-        fail_seed,
-        n_processors=p,
-        data_mode=mode,
-        storage_capacity_bytes=max(total * frac, 1.0),
-        link_contention=cont,
-        separate_links=sep,
-        ordering=ordering,
-        compute_ready_seconds=boot,
-        task_overhead_seconds=overhead,
-        record_trace=trace,
-    )
-    assert a_err == b_err
-    assert a == b
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    wf=workflows(),
-    p=st.integers(1, 6),
-    mode=st.sampled_from(DATA_MODES),
-    frac=st.sampled_from([0.1, 0.3, 0.6, 1.0, 1.5]),
-)
-def test_capacity_replay_when_sum_is_not_a_left_fold(wf, p, mode, frac):
-    # Where float ``sum`` compensates (CPython >= 3.12) the kernel cannot
-    # keep a running stored total and re-sums on every read instead;
-    # exercise that branch on any interpreter.
-    total = sum(f.size_bytes for f in wf.files.values())
-    with mock.patch.object(kernel, "_SUM_IS_LEFT_FOLD", False):
+    # reservations made while booting, in-place retries.  The
+    # interpreter's ``sum`` (a left fold before CPython 3.12, compensated
+    # from 3.12 on) is an input too: the engines must agree under both.
+    with mock.patch("builtins.sum", float_sum):
+        total = sum(f.size_bytes for f in wf.files.values())
         (a, a_err), (b, b_err) = both_or_deadlock(
             wf,
-            None,
+            fail_seed,
             n_processors=p,
             data_mode=mode,
             storage_capacity_bytes=max(total * frac, 1.0),
-            record_trace=False,
+            link_contention=cont,
+            separate_links=sep,
+            ordering=ordering,
+            compute_ready_seconds=boot,
+            task_overhead_seconds=overhead,
+            record_trace=trace,
         )
     assert a_err == b_err
     assert a == b

@@ -59,7 +59,12 @@ from repro.sim import simulate
 from repro.sim.executor import ExecutionEnvironment
 from repro.sim.failures import FailureModel
 from repro.sim.kernel import KernelConfig, run_monte_carlo
-from repro.sim.resources import NetworkLink, ProcessorPool, Storage
+from repro.sim.resources import (
+    NetworkLink,
+    ProcessorPool,
+    Storage,
+    size_units,
+)
 from repro.sweep.job import FailureSpec
 from repro.workflow.analysis import communication_to_computation_ratio
 from tests.strategies import simulation_parameters, workflows
@@ -163,6 +168,17 @@ REJECTED = {
                     "capacity must be positive or None, got nan"),
     "storage-inf": (lambda: Storage(capacity_bytes=math.inf),
                     "capacity must be positive or None, got inf"),
+    # Sizes enter the storage ledger through one conversion: a NaN
+    # reservation was once refused silently (a bogus "capacity too small"
+    # deadlock), a NaN object made bytes_used NaN and inf was stored.
+    "storage-reserve-nan": (lambda: Storage(10.0).reserve(size_units(NAN)),
+                            "size_bytes must be finite and >= 0, got nan"),
+    "storage-add-nan": (lambda: Storage().add("a", NAN, 0.0),
+                        "size_bytes must be finite and >= 0, got nan"),
+    "storage-add-inf": (lambda: Storage(10.0).add("b", math.inf, 0.0),
+                        "size_bytes must be finite and >= 0, got inf"),
+    "storage-add-neg": (lambda: Storage().add("c", -1.0, 0.0),
+                        "size_bytes must be finite and >= 0, got -1.0"),
     "link-nan": (lambda: NetworkLink(NAN),
                  "bandwidth must be positive, got nan"),
     "pool-2.5": (lambda: ProcessorPool(2.5),
