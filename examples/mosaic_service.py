@@ -51,7 +51,7 @@ def main() -> None:
             f"  {marker} P={cand.n_processors:<4} "
             f"p95={format_duration(cand.p95_response_time):>9}  "
             f"util={cand.economics.pool_utilization:>4.0%}  "
-            f"$/req={format_money(cand.economics.cost_per_request_pool)}"
+            f"$/req={format_money(cand.economics.cost_per_request)}"
         )
 
     # ------------------------------------------------- the chosen pool day
@@ -61,7 +61,7 @@ def main() -> None:
     eco = service_economics(result, period_seconds=max(day, result.horizon))
     print(
         f"\nOperating the {plan.n_processors}-processor pool for the day: "
-        f"pool bill {format_money(eco.total_pool_bill)}, of which "
+        f"pool bill {format_money(eco.total_cost)}, of which "
         f"{format_money(eco.idle_waste)} pays for idle processors; "
         f"resources-used accounting would charge "
         f"{format_money(eco.on_demand_total.total)}."

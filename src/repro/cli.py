@@ -278,10 +278,25 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     return 0
 
 
+def _bill_rows(eco, miss_mean: float, miss_p95: float) -> list[tuple]:
+    """The ``repro service`` rows both engines print from their bill."""
+    return [
+        ("mean response (miss)", format_duration(miss_mean)),
+        ("p95 response (miss)", format_duration(miss_p95)),
+        ("pool utilization", f"{eco.pool_utilization:.1%}"),
+        ("pool bill", format_money(eco.pool_cpu_cost)),
+        ("cache storage rent", format_money(eco.cache_storage_cost)),
+        ("total cost", format_money(eco.total_cost)),
+        ("cost per request", format_money(eco.cost_per_request)),
+    ]
+
+
 def _cmd_service(args: argparse.Namespace) -> int:
     from repro.service.scale import (
         FluidServiceEngine,
+        event_economics,
         montage_traffic,
+        replay_misses,
         resolve_service_engine,
         sample_traffic,
         validate_fluid,
@@ -313,59 +328,23 @@ def _cmd_service(args: argparse.Namespace) -> int:
         ("pool", args.processors),
     ]
     if engine_name == "event":
-        from repro.service.arrivals import ServiceRequest
-        from repro.service.economics import service_economics
-        from repro.service.simulator import ServiceSimulator
-
-        workflows = [c.workflow for c in spec.mix]
-        misses = ~sample.hit
-        requests = [
-            ServiceRequest(
-                request_id=f"req-{i:07d}",
-                workflow=workflows[int(k)],
-                arrival_time=float(t),
-            )
-            for i, (t, k) in enumerate(
-                zip(sample.times[misses], sample.class_idx[misses])
-            )
-        ]
-        result = ServiceSimulator(
-            args.processors,
-            spec.data_mode,
-            bandwidth_bytes_per_sec=spec.bandwidth_bytes_per_sec,
-        ).run(requests)
-        # An undersized pool drains past the nominal horizon; the pool
-        # is then held until the backlog clears.
-        eco = service_economics(
-            result,
-            AWS_2008,
-            period_seconds=max(spec.horizon_seconds, result.horizon),
+        result = replay_misses(sample, args.processors)
+        eco = event_economics(sample, result)
+        bill = _bill_rows(eco, eco.mean_response_time, eco.p95_response_time)
+        rows += [("misses simulated", f"{result.n_requests:,}"), *bill]
+    else:
+        result = FluidServiceEngine(args.processors).run(sample)
+        eco = result.economics
+        bill = _bill_rows(
+            eco,
+            result.miss_mean_response_time(),
+            result.miss_percentile_response_time(95.0),
         )
         rows += [
-            ("misses simulated", f"{result.n_requests:,}"),
-            ("mean response (miss)",
-             format_duration(result.mean_response_time())),
-            ("p95 response (miss)",
-             format_duration(result.percentile_response_time(95.0))),
-            ("pool utilization", f"{eco.pool_utilization:.1%}"),
-            ("pool bill", format_money(eco.pool_cpu_cost)),
-        ]
-    else:
-        engine = FluidServiceEngine(args.processors)
-        result = engine.run(sample)
-        eco = result.economics
-        rows += [
             ("mean response", format_duration(eco.mean_response_time)),
-            ("mean response (miss)",
-             format_duration(result.miss_mean_response_time())),
-            ("p95 response (miss)",
-             format_duration(result.miss_percentile_response_time(95.0))),
-            ("pool utilization", f"{eco.pool_utilization:.1%}"),
+            *bill[:3],
             ("peak backlog (jobs)", f"{result.peak_backlog():,.0f}"),
-            ("pool bill", format_money(eco.pool_cpu_cost)),
-            ("cache storage rent", format_money(eco.cache_storage_cost)),
-            ("total cost", format_money(eco.total_cost)),
-            ("cost per request", format_money(eco.cost_per_request)),
+            *bill[3:],
             ("simulated req/s", f"{result.requests_per_second_simulated:,.0f}"),
         ]
     print(format_table(("metric", "value"), rows))
@@ -373,6 +352,10 @@ def _cmd_service(args: argparse.Namespace) -> int:
         validation = validate_fluid(
             sample, args.processors, n_windows=args.validate_windows
         )
+        if not validation.windows:
+            print("\nvalidation: no window held a cache miss; nothing "
+                  "validated")
+            return 0
         projected = validation.projected_event_seconds(sample.n_requests)
         print(
             f"\nvalidation ({len(validation.windows)} windows): "

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.pricing import AWS_2008, PricingModel
+from repro.sim.resources import check_count, check_finite, processor_count
 
 __all__ = ["AutoscalePolicy", "AutoscaleOutcome", "evaluate_autoscale"]
 
@@ -49,8 +50,8 @@ class AutoscalePolicy:
     backlog_jobs_tolerance: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.min_processors < 1:
-            raise ValueError("min_processors must be at least 1")
+        processor_count(self.min_processors)
+        check_count("max_processors", self.max_processors)
         if self.max_processors < self.min_processors:
             raise ValueError("max_processors below min_processors")
         if not 0.0 < self.high_utilization <= 1.0:
@@ -59,12 +60,11 @@ class AutoscalePolicy:
             raise ValueError(
                 "low_utilization must be in [0, high_utilization)"
             )
+        check_finite("scale_factor", self.scale_factor, positive=True)
         if self.scale_factor <= 1.0:
             raise ValueError("scale_factor must exceed 1")
-        if self.cooldown_epochs < 1:
-            raise ValueError("cooldown_epochs must be at least 1")
-        if self.backlog_jobs_tolerance < 0:
-            raise ValueError("negative backlog tolerance")
+        check_count("cooldown_epochs", self.cooldown_epochs)
+        check_finite("backlog_jobs_tolerance", self.backlog_jobs_tolerance)
 
     def controller(self):
         """A fresh ``(epoch, state) -> pool`` closure for one engine run."""

@@ -11,11 +11,12 @@ time; this subpackage simulates the whole service:
 * :mod:`repro.service.simulator` — many workflow executions multiplexed
   over one shared processor pool in a single event engine, with
   per-request response times and cost attribution;
-* :mod:`repro.service.economics` — the service's bill: provisioned pool
-  cost versus summed per-request on-demand charges, cost per mosaic,
-  utilization;
+* :mod:`repro.service.economics` — :class:`ServiceEconomics`, the one
+  bill both engines return: provisioned pool cost versus summed
+  per-request on-demand charges, hit serving and cache rent, cost per
+  mosaic, utilization;
 * :mod:`repro.service.capacity` — pool sizing against a response-time
-  objective;
+  objective, on either engine, with one candidate type;
 * :mod:`repro.service.cache` — the paper's Question-3 recommendation
   ("save popular mosaics of the sky, areas such as those around Orion")
   as a working result cache with popularity-driven request streams and a
@@ -27,7 +28,8 @@ time; this subpackage simulates the whole service:
   requests/month simulated in seconds from class summaries, an
   epoch-stepped M/G/c + fluid-backlog queueing model, and a vectorized
   Zipf/TTL result-cache model, differentially validated against the
-  event simulator on subsampled traffic windows.
+  event simulator on subsampled traffic windows
+  (:func:`~repro.service.scale.replay_misses`).
 """
 
 from repro.service.arrivals import (
@@ -43,8 +45,8 @@ from repro.service.simulator import (
 )
 from repro.service.economics import ServiceEconomics, service_economics
 from repro.service.capacity import (
+    CandidateOutcome,
     CapacityPlan,
-    ScaleCandidate,
     plan_capacity,
     plan_capacity_at_scale,
 )
@@ -58,11 +60,12 @@ from repro.service.scale import (
     FluidServiceResult,
     FluidValidation,
     MixComponent,
-    ScaleEconomics,
     TrafficSample,
     TrafficSpec,
     WindowValidation,
+    event_economics,
     montage_traffic,
+    replay_misses,
     resolve_service_engine,
     sample_traffic,
     validate_fluid,
@@ -93,8 +96,8 @@ __all__ = [
     "ServiceSimulator",
     "ServiceEconomics",
     "service_economics",
+    "CandidateOutcome",
     "CapacityPlan",
-    "ScaleCandidate",
     "plan_capacity",
     "plan_capacity_at_scale",
     "ClassSummary",
@@ -104,11 +107,12 @@ __all__ = [
     "FluidServiceResult",
     "FluidValidation",
     "MixComponent",
-    "ScaleEconomics",
     "TrafficSample",
     "TrafficSpec",
     "WindowValidation",
+    "event_economics",
     "montage_traffic",
+    "replay_misses",
     "resolve_service_engine",
     "sample_traffic",
     "validate_fluid",

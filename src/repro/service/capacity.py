@@ -27,8 +27,8 @@ from repro.sim.datamanager import DataMode
 from repro.sim.resources import check_count, check_finite
 
 __all__ = [
+    "CandidateOutcome",
     "CapacityPlan",
-    "ScaleCandidate",
     "plan_capacity",
     "plan_capacity_at_scale",
 ]
@@ -36,7 +36,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CandidateOutcome:
-    """One examined pool size."""
+    """One examined pool size: the p95 response its objective tests
+    (the miss path's at scale) and its bill."""
 
     n_processors: int
     meets_objective: bool
@@ -45,29 +46,12 @@ class CandidateOutcome:
 
 
 @dataclass(frozen=True)
-class ScaleCandidate:
-    """One examined pool size at full traffic scale."""
-
-    n_processors: int
-    meets_objective: bool
-    p95_miss_response_time: float
-    mean_response_time: float
-    pool_utilization: float
-    peak_backlog_jobs: float
-    total_cost: float
-    cost_per_request: float
-
-
-Candidate = CandidateOutcome | ScaleCandidate
-
-
-@dataclass(frozen=True)
 class CapacityPlan:
-    """The sizing decision (event or fluid-engine candidates)."""
+    """The sizing decision and every candidate examined on the way."""
 
     objective_p95_seconds: float
-    chosen: Candidate | None
-    candidates: list[Candidate]
+    chosen: CandidateOutcome | None
+    candidates: list[CandidateOutcome]
 
     @property
     def feasible(self) -> bool:
@@ -81,8 +65,8 @@ class CapacityPlan:
 
 
 def _search(
-    evaluate: Callable[[int], Candidate], max_processors: int
-) -> tuple[Candidate | None, list[Candidate]]:
+    evaluate: Callable[[int], CandidateOutcome], max_processors: int
+) -> tuple[CandidateOutcome | None, list[CandidateOutcome]]:
     """Smallest pool whose candidate meets the objective, and every
     candidate examined on the way, sorted by pool size.
 
@@ -90,7 +74,7 @@ def _search(
     boundary; each pool size is evaluated at most once.
     """
     check_count("max_processors", max_processors)
-    examined: dict[int, Candidate] = {}
+    examined: dict[int, CandidateOutcome] = {}
 
     def meets(p: int) -> bool:
         if p not in examined:
@@ -174,7 +158,7 @@ def plan_capacity_at_scale(
     percentile of cache-miss response times: the generated-mosaic path
     whose latency provisioning actually controls (hits are a transfer,
     indifferent to the pool).  The same search as :func:`plan_capacity`
-    picks the pool; its candidates are :class:`ScaleCandidate`.
+    picks the pool.
     """
     from repro.service.scale import FluidServiceEngine
 
@@ -182,22 +166,17 @@ def plan_capacity_at_scale(
     if sample.n_requests == 0:
         raise ValueError("empty traffic sample")
 
-    def evaluate(p: int) -> ScaleCandidate:
+    def evaluate(p: int) -> CandidateOutcome:
         engine = FluidServiceEngine(
             p, epoch_seconds=epoch_seconds, pricing=pricing, cache=cache
         )
         result = engine.run(sample)
         p95_miss = result.miss_percentile_response_time(95.0)
-        eco = result.economics
-        return ScaleCandidate(
+        return CandidateOutcome(
             n_processors=p,
             meets_objective=p95_miss <= objective_p95_seconds,
-            p95_miss_response_time=p95_miss,
-            mean_response_time=eco.mean_response_time,
-            pool_utilization=eco.pool_utilization,
-            peak_backlog_jobs=result.peak_backlog(),
-            total_cost=eco.total_cost,
-            cost_per_request=eco.cost_per_request,
+            p95_response_time=p95_miss,
+            economics=result.economics,
         )
 
     return CapacityPlan(

@@ -17,43 +17,67 @@ from repro.core.costs import CostBreakdown, compute_cost
 from repro.core.plans import ExecutionPlan
 from repro.core.pricing import AWS_2008, PricingModel
 from repro.service.simulator import ServiceResult
+from repro.sim.resources import check_finite
 
 __all__ = ["ServiceEconomics", "service_economics"]
 
 
 @dataclass(frozen=True)
 class ServiceEconomics:
-    """The service's bill over one simulated horizon."""
+    """The service's bill over one horizon, itemized.
 
-    n_processors: int
-    horizon_seconds: float
+    The pool is billed for every provisioned processor-second
+    (``pool_cpu_cost``); misses — the requests that ran a workflow —
+    are additionally imputed their on-demand cost (what the operator
+    should recover per generated mosaic), hits pay only the mosaic's
+    outbound transfer, and the result cache pays storage rent on its
+    residency: the Question-2b / Question-3 economics under sustained
+    traffic.  A run without a result cache has ``n_misses ==
+    n_requests`` and no serve cost or rent.
+    """
+
     n_requests: int
-    #: what Amazon bills for holding the pool the whole horizon
+    n_misses: int
+    pool_processor_seconds: float
+    #: what Amazon bills for holding the pool
     pool_cpu_cost: float
-    #: summed per-request costs under resources-used accounting
+    #: summed per-miss costs under resources-used accounting
     on_demand_total: CostBreakdown
-    pool_utilization: float
+    serve_cost: float
+    cache_storage_cost: float
     mean_response_time: float
     p95_response_time: float
+    pool_utilization: float
 
     @property
-    def total_pool_bill(self) -> float:
-        """Pool CPU + the requests' data-management fees."""
-        return self.pool_cpu_cost + self.on_demand_total.data_management_cost
+    def hit_rate(self) -> float:
+        if self.n_requests == 0:
+            return 0.0
+        return 1.0 - self.n_misses / self.n_requests
 
     @property
-    def cost_per_request_pool(self) -> float:
+    def total_cost(self) -> float:
+        """Pool bill + data management + hit serving + cache rent."""
+        return (
+            self.pool_cpu_cost
+            + self.on_demand_total.data_management_cost
+            + self.serve_cost
+            + self.cache_storage_cost
+        )
+
+    @property
+    def cost_per_request(self) -> float:
         """Operator's cost per request when paying for the pool."""
         if self.n_requests == 0:
             return 0.0
-        return self.total_pool_bill / self.n_requests
+        return self.total_cost / self.n_requests
 
     @property
     def cost_per_request_on_demand(self) -> float:
-        """Imputed per-request cost under resources-used accounting."""
-        if self.n_requests == 0:
+        """Imputed per-miss cost under resources-used accounting."""
+        if self.n_misses == 0:
             return 0.0
-        return self.on_demand_total.total / self.n_requests
+        return self.on_demand_total.total / self.n_misses
 
     @property
     def idle_waste(self) -> float:
@@ -66,7 +90,7 @@ def service_economics(
     pricing: PricingModel = AWS_2008,
     period_seconds: float | None = None,
 ) -> ServiceEconomics:
-    """Price one service run.
+    """Price one event-simulated service run (every request a miss).
 
     ``period_seconds`` is the provisioning period the pool was rented for;
     it defaults to the simulated horizon (last request completion) and
@@ -75,6 +99,8 @@ def service_economics(
     horizon = result.horizon
     if period_seconds is None:
         period_seconds = horizon
+    else:
+        check_finite("period_seconds", period_seconds, positive=True)
     if period_seconds < horizon:
         raise ValueError(
             f"period {period_seconds} shorter than the simulated horizon "
@@ -86,17 +112,18 @@ def service_economics(
     totals = CostBreakdown(0.0, 0.0, 0.0, 0.0)
     for outcome in result.outcomes:
         totals = totals + compute_cost(outcome.result, pricing, plan)
-    pool_cpu = pricing.cpu_cost(
-        result.n_processors * period_seconds,
-        n_instances=result.n_processors,
-    )
+    pool_seconds = result.n_processors * period_seconds
     return ServiceEconomics(
-        n_processors=result.n_processors,
-        horizon_seconds=period_seconds,
         n_requests=result.n_requests,
-        pool_cpu_cost=pool_cpu,
+        n_misses=result.n_requests,
+        pool_processor_seconds=pool_seconds,
+        pool_cpu_cost=pricing.cpu_cost(
+            pool_seconds, n_instances=result.n_processors
+        ),
         on_demand_total=totals,
-        pool_utilization=result.pool_utilization(),
+        serve_cost=0.0,
+        cache_storage_cost=0.0,
         mean_response_time=result.mean_response_time(),
         p95_response_time=result.percentile_response_time(95.0),
+        pool_utilization=result.pool_utilization(),
     )

@@ -36,7 +36,7 @@ windows through the event-based simulator and bounds the error (see the
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -45,7 +45,12 @@ from repro.core.pricing import AWS_2008, PricingModel
 from repro.montage.generator import montage_workflow
 from repro.service.arrivals import ServiceRequest, poisson_arrival_array
 from repro.service.cache import zipf_probabilities
-from repro.service.simulator import ResponseStats, ServiceSimulator
+from repro.service.economics import ServiceEconomics, service_economics
+from repro.service.simulator import (
+    ResponseStats,
+    ServiceResult,
+    ServiceSimulator,
+)
 from repro.service.summaries import ClassSummary, summarize_mix
 from repro.sim.executor import DEFAULT_BANDWIDTH
 from repro.sim.resources import (
@@ -66,9 +71,10 @@ __all__ = [
     "sample_traffic",
     "FluidServiceEngine",
     "FluidServiceResult",
-    "ScaleEconomics",
     "WindowValidation",
     "FluidValidation",
+    "replay_misses",
+    "event_economics",
     "validate_fluid",
     "resolve_service_engine",
     "EVENT_FEASIBLE_REQUESTS",
@@ -379,67 +385,6 @@ def sample_traffic(
 
 
 # ------------------------------------------------------------------ #
-# economics
-# ------------------------------------------------------------------ #
-@dataclass(frozen=True)
-class ScaleEconomics:
-    """The service's bill at scale, itemized.
-
-    The pool is billed for every provisioned processor-second
-    (``pool_cpu_cost``); misses are additionally imputed their
-    on-demand cost (what the operator should recover per generated
-    mosaic), hits pay only the mosaic's outbound transfer, and the
-    result cache pays storage rent on its residency — the Question-2b /
-    Question-3 economics under sustained traffic.
-    """
-
-    n_requests: int
-    n_misses: int
-    pool_processor_seconds: float
-    pool_cpu_cost: float
-    on_demand_total: CostBreakdown
-    serve_cost: float
-    cache_storage_cost: float
-    mean_response_time: float
-    p95_response_time: float
-    pool_utilization: float
-
-    @property
-    def hit_rate(self) -> float:
-        if self.n_requests == 0:
-            return 0.0
-        return 1.0 - self.n_misses / self.n_requests
-
-    @property
-    def total_cost(self) -> float:
-        """Pool bill + data management + hit serving + cache rent."""
-        return (
-            self.pool_cpu_cost
-            + self.on_demand_total.data_management_cost
-            + self.serve_cost
-            + self.cache_storage_cost
-        )
-
-    @property
-    def cost_per_request(self) -> float:
-        if self.n_requests == 0:
-            return 0.0
-        return self.total_cost / self.n_requests
-
-    @property
-    def cost_per_request_on_demand(self) -> float:
-        """Imputed per-miss cost under resources-used accounting."""
-        if self.n_misses == 0:
-            return 0.0
-        return self.on_demand_total.total / self.n_misses
-
-    @property
-    def idle_waste(self) -> float:
-        """Pool dollars spent on processors nobody was using."""
-        return self.pool_cpu_cost - self.on_demand_total.cpu_cost
-
-
-# ------------------------------------------------------------------ #
 # the fluid engine
 # ------------------------------------------------------------------ #
 @dataclass
@@ -459,7 +404,7 @@ class FluidServiceResult(ResponseStats):
     n_processors: int
     epoch_seconds: float
     trajectories: dict[str, np.ndarray]
-    economics: ScaleEconomics
+    economics: ServiceEconomics
     elapsed_seconds: float
     _response_times: np.ndarray = field(repr=False)
     # ``(verdict, epoch, class)`` tables, verdict 0 = miss, 1 = hit:
@@ -776,7 +721,7 @@ class FluidServiceEngine:
         miss_by_class: np.ndarray,
         hit_by_class: np.ndarray,
         util: np.ndarray,
-    ) -> ScaleEconomics:
+    ) -> ServiceEconomics:
         pricing = self.pricing
         pool_seconds = float(pool.sum()) * delta
         pool_cpu = pricing.cpu_cost(
@@ -785,17 +730,10 @@ class FluidServiceEngine:
         on_demand = self._on_demand_total(
             summaries, miss_by_class, self.n_processors
         )
-        mosaic_bytes = np.array([s.mosaic_bytes for s in summaries])
-        serve = float(
-            sum(
-                pricing.transfer_out_cost(b) * n
-                for b, n in zip(mosaic_bytes, hit_by_class)
-            )
+        serve, cache_rent = _hit_costs(
+            pricing, summaries, hit_by_class, sample
         )
-        cache_rent = float(
-            pricing.storage_cost(float(sample.residency_byte_seconds.sum()))
-        )
-        return ScaleEconomics(
+        return ServiceEconomics(
             n_requests=sample.n_requests,
             n_misses=int(miss_by_class.sum()),
             pool_processor_seconds=pool_seconds,
@@ -906,6 +844,27 @@ def _per_request(totals: np.ndarray, requests: np.ndarray) -> np.ndarray:
     return np.where(requests > 0, totals / np.maximum(requests, 1.0), 0.0)
 
 
+def _hit_costs(
+    pricing: PricingModel,
+    summaries: tuple[ClassSummary, ...],
+    hit_by_class: np.ndarray,
+    sample: TrafficSample,
+) -> tuple[float, float]:
+    """``(serve cost, cache rent)`` of a sample: every hit's mosaic sent
+    out once, and storage rent on the result cache's residency."""
+    mosaic_bytes = np.array([s.mosaic_bytes for s in summaries])
+    serve = float(
+        sum(
+            pricing.transfer_out_cost(b) * n
+            for b, n in zip(mosaic_bytes, hit_by_class)
+        )
+    )
+    rent = float(
+        pricing.storage_cost(float(sample.residency_byte_seconds.sum()))
+    )
+    return serve, rent
+
+
 # ------------------------------------------------------------------ #
 # engine resolution + differential validation harness
 # ------------------------------------------------------------------ #
@@ -968,6 +927,63 @@ class FluidValidation:
         return self.event_seconds_per_request * n_requests
 
 
+def replay_misses(sample: TrafficSample, n_processors: int) -> ServiceResult:
+    """Run a sample's cache misses through the event simulator, with the
+    spec's data mode and link: the exact answer the fluid engine
+    approximates."""
+    spec = sample.spec
+    workflows = [c.workflow for c in spec.mix]
+    misses = ~sample.hit
+    requests = [
+        ServiceRequest(
+            request_id=f"req-{i:07d}",
+            workflow=workflows[int(k)],
+            arrival_time=float(t),
+        )
+        for i, (t, k) in enumerate(
+            zip(sample.times[misses], sample.class_idx[misses])
+        )
+    ]
+    return ServiceSimulator(
+        n_processors,
+        spec.data_mode,
+        bandwidth_bytes_per_sec=spec.bandwidth_bytes_per_sec,
+    ).run(requests)
+
+
+def event_economics(
+    sample: TrafficSample,
+    result: ServiceResult,
+    pricing: PricingModel = AWS_2008,
+) -> ServiceEconomics:
+    """The bill of a sample whose misses ``result`` replayed
+    (:func:`replay_misses`), itemized as the fluid engine's is.
+
+    The pool is held for the horizon, or until an undersized pool's
+    backlog drains; hits and cache rent are priced by the code the
+    fluid engine uses.  Response times are the miss path's.
+    """
+    spec = sample.spec
+    summaries = summarize_mix(
+        spec.mix,
+        data_mode=spec.data_mode,
+        bandwidth_bytes_per_sec=spec.bandwidth_bytes_per_sec,
+    )
+    hit_by_class = np.bincount(
+        sample.class_idx[sample.hit], minlength=len(summaries)
+    )
+    serve, rent = _hit_costs(pricing, summaries, hit_by_class, sample)
+    eco = service_economics(
+        result, pricing, max(sample.horizon, result.horizon)
+    )
+    return replace(
+        eco,
+        n_requests=sample.n_requests,
+        serve_cost=serve,
+        cache_storage_cost=rent,
+    )
+
+
 def validate_fluid(
     sample: TrafficSample,
     n_processors: int,
@@ -981,13 +997,13 @@ def validate_fluid(
     """Replay subsampled windows through the event engine and compare.
 
     Windows are spread across the horizon; each window's cache-miss
-    sub-stream runs cold-start through both the event-based
-    :class:`~repro.service.simulator.ServiceSimulator` and the fluid
-    engine, and the mean response times over the miss path (queueing +
-    service — the part the fluid model approximates) are compared.
+    sub-stream runs cold-start through both the event simulator
+    (:func:`replay_misses`) and the fluid engine, and the mean response
+    times over the miss path (queueing + service — the part the fluid
+    model approximates) are compared.
     """
-    if n_windows < 1:
-        raise ValueError("need at least one validation window")
+    check_count("n_windows", n_windows)
+    check_finite("window_seconds", window_seconds, positive=True)
     spec = sample.spec
     if summaries is None:
         summaries = summarize_mix(
@@ -997,7 +1013,6 @@ def validate_fluid(
             extra_shares=(n_processors,),
             cache=cache,
         )
-    workflows = [c.workflow for c in spec.mix]
     horizon = sample.horizon
     starts = [
         (i + 0.5) * horizon / (n_windows + 1) for i in range(n_windows)
@@ -1007,22 +1022,8 @@ def validate_fluid(
         window = sample.window(t0, window_seconds)
         if window.n_requests == 0:
             continue
-        requests = [
-            ServiceRequest(
-                request_id=f"win-{i:06d}",
-                workflow=workflows[int(k)],
-                arrival_time=float(t),
-            )
-            for i, (t, k) in enumerate(
-                zip(window.times, window.class_idx)
-            )
-        ]
         t_ev = time.perf_counter()
-        event_result = ServiceSimulator(
-            n_processors,
-            spec.data_mode,
-            bandwidth_bytes_per_sec=spec.bandwidth_bytes_per_sec,
-        ).run(requests)
+        event_result = replay_misses(window, n_processors)
         event_seconds = time.perf_counter() - t_ev
         t_fl = time.perf_counter()
         engine = FluidServiceEngine(

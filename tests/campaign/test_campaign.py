@@ -10,8 +10,10 @@ append, checkpointed resume executing only the missing plates, and the
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import shutil
 
 import pytest
 
@@ -318,25 +320,52 @@ class TestResume:
         assert resumed.n_abandoned == 3
         assert audit_campaign(log_path).ok
 
-    @pytest.mark.parametrize("cut", ["mid-line", "before-newline"])
-    def test_resume_after_torn_last_line(self, tmp_path, cut):
-        # A kill inside ProvenanceLog.emit's append leaves a last line
-        # without its newline; resume re-derives that line in full.
+    def test_resume_after_torn_last_line(self, tmp_path):
+        # A kill can land anywhere in ProvenanceLog.emit's append or in
+        # a checkpoint write.  Cut the log at every line boundary,
+        # halfway through every line and just before every newline, and
+        # truncate one checkpoint blob at a few offsets: each resume
+        # re-derives the uninterrupted run byte for byte.
         p = plates(2)
         ref_path = tmp_path / "ref.jsonl"
-        run_campaign(p, "sweep", config(), cache=SimCache(),
-                     log=ProvenanceLog(ref_path))
+        ref_cache = tmp_path / "ref-cache"
+        ref_run = run_campaign(p, "sweep", config(),
+                               cache=SimCache(ref_cache),
+                               log=ProvenanceLog(ref_path))
         ref = ref_path.read_bytes()
         lines = ref.splitlines(keepends=True)
         assert len(lines) > 3
-        torn = lines[2][: len(lines[2]) // 2 if cut == "mid-line" else -1]
-        log_path = tmp_path / "campaign.jsonl"
-        log_path.write_bytes(b"".join(lines[:2]) + torn)
-        resumed = run_campaign(p, "sweep", config(), cache=SimCache(),
-                               log=ProvenanceLog(log_path))
-        assert resumed.log.replayed == 2
-        assert log_path.read_bytes() == ref
-        assert audit_campaign(log_path).ok
+        starts = [sum(map(len, lines[:i])) for i in range(len(lines) + 1)]
+        cuts = set(starts)
+        for start, line in zip(starts, lines):
+            cuts |= {start + len(line) // 2, start + len(line) - 1}
+        blob = sorted(ref_cache.glob("*/*.blob.pkl"))[0]
+        size = blob.stat().st_size
+        runs = [(cut, None) for cut in sorted(cuts)]
+        runs += [(starts[2], at) for at in (0, 1, size // 2, size - 1)]
+
+        def terminal(result):
+            return [getattr(result, f.name)
+                    for f in dataclasses.fields(result) if f.name != "log"]
+
+        for n, (cut, blob_at) in enumerate(runs):
+            log_path = tmp_path / f"campaign-{n}.jsonl"
+            log_path.write_bytes(ref[:cut])
+            cache = SimCache()
+            if blob_at is not None:
+                cache_dir = tmp_path / f"cache-{n}"
+                shutil.copytree(ref_cache, cache_dir)
+                torn = cache_dir / blob.relative_to(ref_cache)
+                torn.write_bytes(blob.read_bytes()[:blob_at])
+                cache = SimCache(cache_dir)
+            resumed = run_campaign(p, "sweep", config(), cache=cache,
+                                   log=ProvenanceLog(log_path))
+            if blob_at is not None:
+                assert torn.with_suffix(".corrupt").exists()
+            assert resumed.log.replayed == ref[:cut].count(b"\n")
+            assert log_path.read_bytes() == ref, (cut, blob_at)
+            assert audit_campaign(log_path).ok
+            assert terminal(resumed) == terminal(ref_run)
 
     def test_divergent_resume_raises(self, tmp_path):
         p = plates(2)

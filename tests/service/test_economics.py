@@ -43,14 +43,14 @@ class TestEconomics:
     def test_per_request_costs(self, result):
         eco = service_economics(result)
         assert eco.n_requests == 2
-        assert eco.cost_per_request_pool == pytest.approx(
-            eco.total_pool_bill / 2
+        assert eco.cost_per_request == pytest.approx(
+            eco.total_cost / 2
         )
         assert eco.cost_per_request_on_demand == pytest.approx(
             eco.on_demand_total.total / 2
         )
         # Pool accounting is never cheaper than resources-used accounting.
-        assert eco.cost_per_request_pool >= eco.cost_per_request_on_demand
+        assert eco.cost_per_request >= eco.cost_per_request_on_demand
 
     def test_longer_period_costs_more(self, result):
         short = service_economics(result)
@@ -81,7 +81,7 @@ class TestEconomics:
         res = ServiceSimulator(4).run([])
         eco = service_economics(res, period_seconds=100.0)
         assert eco.n_requests == 0
-        assert eco.cost_per_request_pool == 0.0
+        assert eco.cost_per_request == 0.0
         assert eco.on_demand_total.total == 0.0
         assert eco.pool_cpu_cost == pytest.approx(
             AWS_2008.cpu_cost(400.0)
@@ -94,7 +94,7 @@ class TestMontageService:
         lone = _run_montage(montage1, n_requests=1)
         busy = _run_montage(montage1, n_requests=8)
         assert busy.pool_utilization >= lone.pool_utilization
-        assert busy.cost_per_request_pool < lone.cost_per_request_pool
+        assert busy.cost_per_request < lone.cost_per_request
 
     def test_pool_sizing(self, montage1):
         requests = request_stream(uniform_arrivals(10, 120.0), [montage1])
@@ -104,7 +104,7 @@ class TestMontageService:
             eco = service_economics(result)
             p95s.append(result.percentile_response_time(95.0))
             on_demand.append(eco.cost_per_request_on_demand)
-            assert eco.cost_per_request_pool >= (
+            assert eco.cost_per_request >= (
                 eco.cost_per_request_on_demand - 1e-9
             )
             assert 0.0 < result.pool_utilization() <= 1.0

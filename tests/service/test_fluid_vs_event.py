@@ -14,7 +14,9 @@ import pytest
 
 from repro.service.scale import (
     FluidServiceEngine,
+    event_economics,
     montage_traffic,
+    replay_misses,
     sample_traffic,
     validate_fluid,
 )
@@ -139,3 +141,26 @@ class TestFluidStructure:
         fl = (fluid_mean(early), fluid_mean(late))
         assert early.n_misses != late.n_misses
         assert (ev[0] > ev[1]) == (fl[0] > fl[1])
+
+
+class TestOneBill:
+    """Both engines price a sample through one ``ServiceEconomics``."""
+
+    def test_hits_and_rent_are_billed_identically(self):
+        sample = sample_traffic(montage_traffic(300, n_regions=50, seed=3))
+        assert 0 < sample.n_misses < sample.n_requests
+        replay = replay_misses(sample, 16)
+        assert replay.n_requests == sample.n_misses
+        event = event_economics(sample, replay)
+        fluid = FluidServiceEngine(16).run(sample).economics
+        for name in ("n_requests", "n_misses", "serve_cost",
+                     "cache_storage_cost"):
+            assert getattr(event, name) == getattr(fluid, name), name
+        assert event.serve_cost > 0.0
+        assert event.cache_storage_cost > 0.0
+        assert event.total_cost == (
+            event.pool_cpu_cost
+            + event.on_demand_total.data_management_cost
+            + event.serve_cost
+            + event.cache_storage_cost
+        )

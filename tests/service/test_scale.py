@@ -352,7 +352,7 @@ def _engine_digests(result):
 
 
 def _economics_hex(economics):
-    """``float.hex`` of every ``ScaleEconomics`` field (counts as ints)."""
+    """``float.hex`` of every ``ServiceEconomics`` field (counts as ints)."""
     out = {}
     for f in dataclasses.fields(economics):
         value = getattr(economics, f.name)
@@ -844,7 +844,7 @@ class TestCapacityAtScale:
         assert plan.feasible
         chosen = plan.chosen
         assert chosen.meets_objective
-        assert chosen.p95_miss_response_time <= 3_600.0
+        assert chosen.p95_response_time <= 3_600.0
         # One processor fewer must miss the objective.
         smaller = FluidServiceEngine(chosen.n_processors - 1).run(
             traffic_sample

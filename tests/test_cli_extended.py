@@ -6,6 +6,7 @@ from repro.cli import main
 from repro.service.arrivals import ServiceRequest
 from repro.service.scale import (
     FluidServiceEngine,
+    event_economics,
     montage_traffic,
     sample_traffic,
 )
@@ -94,6 +95,14 @@ def _service_table(text):
     return rows
 
 
+#: The rows both ``--engine`` branches print from their one bill.
+SHARED_SERVICE_ROWS = (
+    "engine", "requests", "cache hit rate", "pool",
+    "mean response (miss)", "p95 response (miss)", "pool utilization",
+    "pool bill", "cache storage rent", "total cost", "cost per request",
+)
+
+
 class TestServiceCommand:
     def test_fluid_path_prints_the_engine_result(self, capsys):
         assert main([
@@ -114,6 +123,17 @@ class TestServiceCommand:
         assert rows["total cost"] == format_money(
             result.economics.total_cost
         )
+        assert set(SHARED_SERVICE_ROWS) <= set(rows)
+
+    def test_validate_without_misses_claims_no_error(self, capsys):
+        # 20 requests a month leave every one-hour window empty.
+        assert main([
+            "service", "--requests-per-month", "20", "--processors", "8",
+            "--engine", "fluid", "--validate",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "nothing validated" in out
+        assert "mean error" not in out
 
     def test_event_path_simulates_the_requested_link(self, capsys):
         args = [
@@ -141,6 +161,12 @@ class TestServiceCommand:
         )
         assert slow["p95 response (miss)"] == format_duration(
             expected.percentile_response_time(95.0)
+        )
+        # The event branch bills hits and cache rent as the fluid
+        # branch does, from the library's one bill.
+        assert set(SHARED_SERVICE_ROWS) <= set(slow)
+        assert slow["total cost"] == format_money(
+            event_economics(sample, expected).total_cost
         )
         # The default 10 Mbps link stages data in and out faster.
         assert main(args) == 0

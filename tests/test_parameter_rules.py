@@ -34,6 +34,7 @@ from repro.montage.generator import montage_workflow
 from repro.montage.sky import region
 from repro.core.tradeoff import geometric_processors
 from repro.provisioning import (
+    AutoscalePolicy,
     advise_plan,
     best_weighted,
     candidate_plans,
@@ -49,12 +50,15 @@ from repro.service.arrivals import (
 )
 from repro.service.cache import ZipfPopularity
 from repro.service.capacity import plan_capacity, plan_capacity_at_scale
+from repro.service.economics import service_economics
 from repro.service.portal import MontagePortal, MosaicRequest
 from repro.service.scale import (
     FluidServiceEngine,
     montage_traffic,
     sample_traffic,
+    validate_fluid,
 )
+from repro.service.simulator import ServiceSimulator
 from repro.sim import simulate
 from repro.sim.executor import ExecutionEnvironment
 from repro.sim.failures import FailureModel
@@ -334,6 +338,61 @@ REJECTED = {
                            "max_processors must be an integer >= 1, got True"),
     "geometric-max-nan": (lambda: geometric_processors(NAN),
                           "max_processors must be an integer >= 1, got nan"),
+    # Accepted once: each failed later inside the engine, or (NaN
+    # tolerance) silently turned off backlog-driven scale-up.
+    "autoscale-min-2.5": (lambda: AutoscalePolicy(2.5, 8),
+                          "n_processors must be an integer, got 2.5"),
+    "autoscale-min-True": (lambda: AutoscalePolicy(True, 8),
+                           "n_processors must be an integer, got True"),
+    "autoscale-max-inf": (
+        lambda: AutoscalePolicy(1, math.inf),
+        "max_processors must be an integer >= 1, got inf",
+    ),
+    "autoscale-factor-nan": (
+        lambda: AutoscalePolicy(1, 8, scale_factor=NAN),
+        "scale_factor must be finite and > 0, got nan",
+    ),
+    "autoscale-factor-inf": (
+        lambda: AutoscalePolicy(1, 8, scale_factor=math.inf),
+        "scale_factor must be finite and > 0, got inf",
+    ),
+    "autoscale-cooldown-2.5": (
+        lambda: AutoscalePolicy(1, 8, cooldown_epochs=2.5),
+        "cooldown_epochs must be an integer >= 1, got 2.5",
+    ),
+    "autoscale-backlog-nan": (
+        lambda: AutoscalePolicy(1, 8, backlog_jobs_tolerance=NAN),
+        "backlog_jobs_tolerance must be finite and >= 0, got nan",
+    ),
+    # A NaN or inf rental period once gave a NaN or inf bill.
+    "economics-period-nan": (
+        lambda: service_economics(ServiceSimulator(4).run([]),
+                                  period_seconds=NAN),
+        "period_seconds must be finite and > 0, got nan",
+    ),
+    "economics-period-inf": (
+        lambda: service_economics(ServiceSimulator(4).run([]),
+                                  period_seconds=math.inf),
+        "period_seconds must be finite and > 0, got inf",
+    ),
+    # A NaN, negative or zero window once validated nothing and
+    # reported a 0% error; a bool window count was taken as 1.
+    "validate-window-nan": (
+        lambda: validate_fluid(small_sample(), 4, window_seconds=NAN),
+        "window_seconds must be finite and > 0, got nan",
+    ),
+    "validate-window-neg": (
+        lambda: validate_fluid(small_sample(), 4, window_seconds=-5.0),
+        "window_seconds must be finite and > 0, got -5.0",
+    ),
+    "validate-window-0": (
+        lambda: validate_fluid(small_sample(), 4, window_seconds=0.0),
+        "window_seconds must be finite and > 0, got 0.0",
+    ),
+    "validate-windows-True": (
+        lambda: validate_fluid(small_sample(), 4, n_windows=True),
+        "n_windows must be an integer >= 1, got True",
+    ),
 }
 
 
