@@ -278,19 +278,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bill_rows(eco, miss_mean: float, miss_p95: float) -> list[tuple]:
-    """The ``repro service`` rows both engines print from their bill."""
-    return [
-        ("mean response (miss)", format_duration(miss_mean)),
-        ("p95 response (miss)", format_duration(miss_p95)),
-        ("pool utilization", f"{eco.pool_utilization:.1%}"),
-        ("pool bill", format_money(eco.pool_cpu_cost)),
-        ("cache storage rent", format_money(eco.cache_storage_cost)),
-        ("total cost", format_money(eco.total_cost)),
-        ("cost per request", format_money(eco.cost_per_request)),
-    ]
-
-
 def _cmd_service(args: argparse.Namespace) -> int:
     from repro.service.scale import (
         FluidServiceEngine,
@@ -330,23 +317,32 @@ def _cmd_service(args: argparse.Namespace) -> int:
     if engine_name == "event":
         result = replay_misses(sample, args.processors)
         eco = event_economics(sample, result)
-        bill = _bill_rows(eco, eco.mean_response_time, eco.p95_response_time)
-        rows += [("misses simulated", f"{result.n_requests:,}"), *bill]
+        miss_mean = result.mean_response_time()
+        miss_p95 = result.percentile_response_time(95.0)
+        rows.append(("misses simulated", f"{result.n_requests:,}"))
     else:
         result = FluidServiceEngine(args.processors).run(sample)
         eco = result.economics
-        bill = _bill_rows(
-            eco,
-            result.miss_mean_response_time(),
-            result.miss_percentile_response_time(95.0),
+        miss_mean = result.miss_mean_response_time()
+        miss_p95 = result.miss_percentile_response_time(95.0)
+    rows += [
+        ("mean response", format_duration(eco.mean_response_time)),
+        ("mean response (miss)", format_duration(miss_mean)),
+        ("p95 response (miss)", format_duration(miss_p95)),
+        ("pool utilization", f"{eco.pool_utilization:.1%}"),
+    ]
+    if engine_name == "fluid":
+        rows.append(("peak backlog (jobs)", f"{result.peak_backlog():,.0f}"))
+    rows += [
+        ("pool bill", format_money(eco.pool_cpu_cost)),
+        ("cache storage rent", format_money(eco.cache_storage_cost)),
+        ("total cost", format_money(eco.total_cost)),
+        ("cost per request", format_money(eco.cost_per_request)),
+    ]
+    if engine_name == "fluid":
+        rows.append(
+            ("simulated req/s", f"{result.requests_per_second_simulated:,.0f}")
         )
-        rows += [
-            ("mean response", format_duration(eco.mean_response_time)),
-            *bill[:3],
-            ("peak backlog (jobs)", f"{result.peak_backlog():,.0f}"),
-            *bill[3:],
-            ("simulated req/s", f"{result.requests_per_second_simulated:,.0f}"),
-        ]
     print(format_table(("metric", "value"), rows))
     if args.validate:
         validation = validate_fluid(

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.pricing import AWS_2008, PricingModel
-from repro.sim.resources import check_count, check_finite, processor_count
+from repro.sim.resources import check_count, check_finite
 
 __all__ = ["AutoscalePolicy", "AutoscaleOutcome", "evaluate_autoscale"]
 
@@ -50,7 +50,7 @@ class AutoscalePolicy:
     backlog_jobs_tolerance: float = 0.0
 
     def __post_init__(self) -> None:
-        processor_count(self.min_processors)
+        check_count("min_processors", self.min_processors)
         check_count("max_processors", self.max_processors)
         if self.max_processors < self.min_processors:
             raise ValueError("max_processors below min_processors")

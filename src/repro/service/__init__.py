@@ -28,8 +28,7 @@ time; this subpackage simulates the whole service:
   requests/month simulated in seconds from class summaries, an
   epoch-stepped M/G/c + fluid-backlog queueing model, and a vectorized
   Zipf/TTL result-cache model, differentially validated against the
-  event simulator on subsampled traffic windows
-  (:func:`~repro.service.scale.replay_misses`).
+  event simulator on subsampled traffic windows.
 """
 
 from repro.service.arrivals import (

@@ -26,14 +26,11 @@ __all__ = ["ServiceEconomics", "service_economics"]
 class ServiceEconomics:
     """The service's bill over one horizon, itemized.
 
-    The pool is billed for every provisioned processor-second
-    (``pool_cpu_cost``); misses — the requests that ran a workflow —
-    are additionally imputed their on-demand cost (what the operator
-    should recover per generated mosaic), hits pay only the mosaic's
-    outbound transfer, and the result cache pays storage rent on its
-    residency: the Question-2b / Question-3 economics under sustained
-    traffic.  A run without a result cache has ``n_misses ==
-    n_requests`` and no serve cost or rent.
+    The pool is billed for every provisioned processor-second; misses
+    are also imputed their on-demand cost, a hit pays its mosaic's
+    outbound transfer and takes that transfer's time, and the result
+    cache pays rent on its residency.  Response times cover every
+    request; utilization is the pool's busy fraction over the run.
     """
 
     n_requests: int

@@ -667,7 +667,7 @@ class FluidServiceEngine:
             "p95_response": p95,
         }
         economics = self._economics(
-            sample, summaries, responses,
+            sample, summaries, mosaic_bytes, responses,
             _pooled_percentile(values, counts, 95.0), pool, delta,
             miss_counts.sum(axis=0), hit_counts.sum(axis=0), utilization,
         )
@@ -714,6 +714,7 @@ class FluidServiceEngine:
         self,
         sample: TrafficSample,
         summaries: tuple[ClassSummary, ...],
+        mosaic_bytes: np.ndarray,
         responses: np.ndarray,
         p95_response: float,
         pool: np.ndarray,
@@ -731,7 +732,7 @@ class FluidServiceEngine:
             summaries, miss_by_class, self.n_processors
         )
         serve, cache_rent = _hit_costs(
-            pricing, summaries, hit_by_class, sample
+            pricing, mosaic_bytes, hit_by_class, sample
         )
         return ServiceEconomics(
             n_requests=sample.n_requests,
@@ -846,13 +847,13 @@ def _per_request(totals: np.ndarray, requests: np.ndarray) -> np.ndarray:
 
 def _hit_costs(
     pricing: PricingModel,
-    summaries: tuple[ClassSummary, ...],
+    mosaic_bytes: np.ndarray,
     hit_by_class: np.ndarray,
     sample: TrafficSample,
 ) -> tuple[float, float]:
-    """``(serve cost, cache rent)`` of a sample: every hit's mosaic sent
-    out once, and storage rent on the result cache's residency."""
-    mosaic_bytes = np.array([s.mosaic_bytes for s in summaries])
+    """``(serve cost, cache rent)`` of a sample: every hit's mosaic
+    (``mosaic_bytes`` per class) sent out once, and storage rent on the
+    result cache's residency."""
     serve = float(
         sum(
             pricing.transfer_out_cost(b) * n
@@ -935,11 +936,7 @@ def replay_misses(sample: TrafficSample, n_processors: int) -> ServiceResult:
     workflows = [c.workflow for c in spec.mix]
     misses = ~sample.hit
     requests = [
-        ServiceRequest(
-            request_id=f"req-{i:07d}",
-            workflow=workflows[int(k)],
-            arrival_time=float(t),
-        )
+        ServiceRequest(f"req-{i:07d}", workflows[int(k)], float(t))
         for i, (t, k) in enumerate(
             zip(sample.times[misses], sample.class_idx[misses])
         )
@@ -952,35 +949,41 @@ def replay_misses(sample: TrafficSample, n_processors: int) -> ServiceResult:
 
 
 def event_economics(
-    sample: TrafficSample,
-    result: ServiceResult,
-    pricing: PricingModel = AWS_2008,
+    sample: TrafficSample, result: ServiceResult
 ) -> ServiceEconomics:
     """The bill of a sample whose misses ``result`` replayed
-    (:func:`replay_misses`), itemized as the fluid engine's is.
+    (:func:`replay_misses`), itemized and measured as the fluid engine's.
 
     The pool is held for the horizon, or until an undersized pool's
-    backlog drains; hits and cache rent are priced by the code the
-    fluid engine uses.  Response times are the miss path's.
+    backlog drains, and its utilization is taken over that period.  A
+    hit takes its mosaic's outbound transfer, so response times cover
+    every request; hits and cache rent are priced by the code the fluid
+    engine uses.  Every class's workflow must have a ``mosaic.fits``.
     """
     spec = sample.spec
-    summaries = summarize_mix(
-        spec.mix,
-        data_mode=spec.data_mode,
-        bandwidth_bytes_per_sec=spec.bandwidth_bytes_per_sec,
+    mosaic_bytes = np.array(
+        [c.workflow.file("mosaic.fits").size_bytes for c in spec.mix]
     )
-    hit_by_class = np.bincount(
-        sample.class_idx[sample.hit], minlength=len(summaries)
-    )
-    serve, rent = _hit_costs(pricing, summaries, hit_by_class, sample)
-    eco = service_economics(
-        result, pricing, max(sample.horizon, result.horizon)
-    )
+    hit_class = sample.class_idx[sample.hit]
+    hit_by_class = np.bincount(hit_class, minlength=len(spec.mix))
+    serve, rent = _hit_costs(AWS_2008, mosaic_bytes, hit_by_class, sample)
+    period = max(sample.horizon, result.horizon)
+    eco = service_economics(result, AWS_2008, period)
+    responses = np.concatenate([
+        result.response_times(),
+        mosaic_bytes[hit_class] / spec.bandwidth_bytes_per_sec,
+    ]) if sample.n_requests else np.zeros(1)  # 0.0 without requests
     return replace(
         eco,
         n_requests=sample.n_requests,
         serve_cost=serve,
         cache_storage_cost=rent,
+        mean_response_time=float(responses.mean()),
+        p95_response_time=float(np.percentile(responses, 95.0)),
+        pool_utilization=(
+            result.pool_busy_curve.integral(0.0, period)
+            / eco.pool_processor_seconds
+        ),
     )
 
 

@@ -152,10 +152,27 @@ class TestOneBill:
         replay = replay_misses(sample, 16)
         assert replay.n_requests == sample.n_misses
         event = event_economics(sample, replay)
-        fluid = FluidServiceEngine(16).run(sample).economics
+        fluid_result = FluidServiceEngine(16).run(sample)
+        fluid = fluid_result.economics
         for name in ("n_requests", "n_misses", "serve_cost",
                      "cache_storage_cost"):
             assert getattr(event, name) == getattr(fluid, name), name
+        # Both bills' response times cover every request: the replayed
+        # misses plus the hits' transfers, which the engines share.
+        column = fluid_result.response_times()
+        event_column = np.concatenate(
+            [replay.response_times(), column[sample.hit]]
+        )
+        assert event.mean_response_time == event_column.mean()
+        assert event.p95_response_time == np.percentile(event_column, 95.0)
+        assert fluid.mean_response_time == column.mean()
+        assert fluid.p95_response_time == np.percentile(column, 95.0)
+        assert event.mean_response_time < replay.mean_response_time()
+        # Both take utilization over the same held period; the pool is
+        # wide enough here that nothing queues, so they agree.
+        assert event.pool_utilization == pytest.approx(
+            fluid.pool_utilization, rel=1e-9
+        )
         assert event.serve_cost > 0.0
         assert event.cache_storage_cost > 0.0
         assert event.total_cost == (

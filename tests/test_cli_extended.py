@@ -97,7 +97,7 @@ def _service_table(text):
 
 #: The rows both ``--engine`` branches print from their one bill.
 SHARED_SERVICE_ROWS = (
-    "engine", "requests", "cache hit rate", "pool",
+    "engine", "requests", "cache hit rate", "pool", "mean response",
     "mean response (miss)", "p95 response (miss)", "pool utilization",
     "pool bill", "cache storage rent", "total cost", "cost per request",
 )
@@ -165,8 +165,10 @@ class TestServiceCommand:
         # The event branch bills hits and cache rent as the fluid
         # branch does, from the library's one bill.
         assert set(SHARED_SERVICE_ROWS) <= set(slow)
-        assert slow["total cost"] == format_money(
-            event_economics(sample, expected).total_cost
+        eco = event_economics(sample, expected)
+        assert slow["total cost"] == format_money(eco.total_cost)
+        assert slow["mean response"] == format_duration(
+            eco.mean_response_time
         )
         # The default 10 Mbps link stages data in and out faster.
         assert main(args) == 0

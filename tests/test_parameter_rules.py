@@ -341,9 +341,9 @@ REJECTED = {
     # Accepted once: each failed later inside the engine, or (NaN
     # tolerance) silently turned off backlog-driven scale-up.
     "autoscale-min-2.5": (lambda: AutoscalePolicy(2.5, 8),
-                          "n_processors must be an integer, got 2.5"),
+                          "min_processors must be an integer >= 1, got 2.5"),
     "autoscale-min-True": (lambda: AutoscalePolicy(True, 8),
-                           "n_processors must be an integer, got True"),
+                           "min_processors must be an integer >= 1, got True"),
     "autoscale-max-inf": (
         lambda: AutoscalePolicy(1, math.inf),
         "max_processors must be an integer >= 1, got inf",
